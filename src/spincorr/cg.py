@@ -10,7 +10,6 @@ Only squares are exposed; sign conventions never enter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, List, Tuple
@@ -118,11 +117,13 @@ def convergence_scan(
 
 
 def decimal_string(value: Fraction, digits: int = 6) -> str:
-    """Round-half-even decimal rendering at a fixed digit count."""
-    quantum = Decimal(1).scaleb(-digits)
-    with localcontext() as ctx:
-        ctx.prec = digits + 32
-        d = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
-            quantum, rounding=ROUND_HALF_EVEN
-        )
-    return str(d)
+    """Round-half-even fixed-point rendering with `digits` >= 1 places."""
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
+    den = value.denominator
+    q, r = divmod(abs(value.numerator) * 10**digits, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    text = str(q).rjust(digits + 1, "0")
+    sign = "-" if value < 0 else ""
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"

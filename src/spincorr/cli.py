@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .cg import cg_squared, convergence_scan, decimal_string
 from .errors import (
@@ -25,11 +25,15 @@ from .halfint import format_half_integer, parse_half_integer
 from .pathcount import Priors, probability_table
 from .selection import allowed_m_pairs, check_triangle
 from .selftest import run_selftest
+from .sequences import ENUM_BUDGET_ENV, enumeration_budget
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_MALFORMED = 2
 EXIT_CONSTRAINT = 3
+
+SPIN_KEYS = ("j1", "j2", "J", "M")
+SPIN_FLAGS = tuple(f"--{key}" for key in SPIN_KEYS)
 
 PROB_COLUMNS = ["n", "j1", "j2", "J", "M", "m1", "m2", "p_num", "p_den", "p_decimal"]
 CG_COLUMNS = ["j1", "j2", "J", "M", "m1", "m2", "cg2_num", "cg2_den", "cg2_decimal"]
@@ -61,62 +65,48 @@ def _emit(rows: List[Dict], columns: List[str], args, command: str) -> None:
         writer.writerows(rows)
 
 
-def _frac_fields(prefix: str, value: Fraction, digits: int) -> Dict:
-    return {
-        f"{prefix}_num": value.numerator,
-        f"{prefix}_den": value.denominator,
-        f"{prefix}_decimal": decimal_string(value, digits),
-    }
+def _spins(args) -> Tuple[Tuple[int, int, int, int], Dict[str, str]]:
+    """Parse and check --j1/--j2/--J/--M, the same way for every command.
 
-
-def cmd_prob(args) -> int:
-    tj1 = parse_half_integer(args.j1)
-    tj2 = parse_half_integer(args.j2)
-    tJ = parse_half_integer(args.J)
-    tM = parse_half_integer(args.M)
-    priors = Priors(n=args.n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
-    table = probability_table(priors)
-    rows = []
-    for tm1, tm2, p in table:
-        row = {
-            "n": args.n,
-            "j1": format_half_integer(tj1),
-            "j2": format_half_integer(tj2),
-            "J": format_half_integer(tJ),
-            "M": format_half_integer(tM),
-            "m1": format_half_integer(tm1),
-            "m2": format_half_integer(tm2),
-        }
-        row.update(_frac_fields("p", p, args.digits))
-        rows.append(row)
-    _emit(rows, PROB_COLUMNS, args, "prob")
-    return EXIT_OK
-
-
-def cmd_cg(args) -> int:
-    tj1 = parse_half_integer(args.j1)
-    tj2 = parse_half_integer(args.j2)
-    tJ = parse_half_integer(args.J)
-    tM = parse_half_integer(args.M)
+    Returns the doubled integers and the rendered j1, j2, J, M row columns.
+    """
+    tj = tuple(parse_half_integer(getattr(args, key)) for key in SPIN_KEYS)
+    tj1, tj2, tJ, tM = tj
     if not check_triangle(tj1, tj2, tJ):
         raise InvalidQuantumNumberError(
             "triangle rule violated: |j1 - j2| <= J <= j1 + j2 with integer perimeter"
         )
     if abs(tM) > tJ or (tJ + tM) % 2:
         raise InvalidQuantumNumberError("M must satisfy -J <= M <= J in integer steps")
-    rows = []
-    for tm1, tm2 in allowed_m_pairs(tj1, tj2, tM):
-        value = cg_squared(tj1, tj2, tm1, tm2, tJ, tM)
-        row = {
-            "j1": format_half_integer(tj1),
-            "j2": format_half_integer(tj2),
-            "J": format_half_integer(tJ),
-            "M": format_half_integer(tM),
-            "m1": format_half_integer(tm1),
-            "m2": format_half_integer(tm2),
-        }
-        row.update(_frac_fields("cg2", value, args.digits))
-        rows.append(row)
+    return tj, {key: format_half_integer(t) for key, t in zip(SPIN_KEYS, tj)}
+
+
+def _row(spins: Dict, tm1: int, tm2: int, digits: int, n=None, **values: Fraction) -> Dict:
+    """One output row: n (if any), the spins, m1, m2, then num/den/decimal
+    columns for each named value, in argument order."""
+    row = {} if n is None else {"n": n}
+    row.update(spins, m1=format_half_integer(tm1), m2=format_half_integer(tm2))
+    for prefix, value in values.items():
+        row[f"{prefix}_num"] = value.numerator
+        row[f"{prefix}_den"] = value.denominator
+        row[f"{prefix}_decimal"] = decimal_string(value, digits)
+    return row
+
+
+def cmd_prob(args) -> int:
+    tj, spins = _spins(args)
+    table = probability_table(Priors(args.n, *tj))
+    rows = [_row(spins, tm1, tm2, args.digits, n=args.n, p=p) for tm1, tm2, p in table]
+    _emit(rows, PROB_COLUMNS, args, "prob")
+    return EXIT_OK
+
+
+def cmd_cg(args) -> int:
+    (tj1, tj2, tJ, tM), spins = _spins(args)
+    rows = [
+        _row(spins, tm1, tm2, args.digits, cg2=cg_squared(tj1, tj2, tm1, tm2, tJ, tM))
+        for tm1, tm2 in allowed_m_pairs(tj1, tj2, tM)
+    ]
     _emit(rows, CG_COLUMNS, args, "cg")
     return EXIT_OK
 
@@ -131,54 +121,69 @@ def _n_values(args) -> List[int]:
 
 
 def cmd_converge(args) -> int:
-    tj1 = parse_half_integer(args.j1)
-    tj2 = parse_half_integer(args.j2)
-    tJ = parse_half_integer(args.J)
-    tM = parse_half_integer(args.M)
-    scan_rows, skipped = convergence_scan(tj1, tj2, tJ, tM, _n_values(args))
+    tj, spins = _spins(args)
+    scan_rows, skipped = convergence_scan(*tj, _n_values(args))
     for n, reason in skipped:
         print(f"warning: n={n} skipped: {reason}", file=sys.stderr)
     if not scan_rows:
         return _fail(EXIT_CONSTRAINT, "no valid sequence length in the requested range")
-    rows = []
-    for r in scan_rows:
-        row = {
-            "n": r.n,
-            "j1": format_half_integer(tj1),
-            "j2": format_half_integer(tj2),
-            "J": format_half_integer(tJ),
-            "M": format_half_integer(tM),
-            "m1": format_half_integer(r.tm10),
-            "m2": format_half_integer(r.tm02),
-        }
-        row.update(_frac_fields("p", r.p, args.digits))
-        row.update(_frac_fields("cg2", r.cg2, args.digits))
-        row.update(_frac_fields("delta", r.delta, args.digits))
-        rows.append(row)
+    rows = [
+        _row(spins, r.tm10, r.tm02, args.digits, n=r.n, p=r.p, cg2=r.cg2, delta=r.delta)
+        for r in scan_rows
+    ]
     _emit(rows, CONVERGE_COLUMNS, args, "converge")
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
-    ok = run_selftest(
-        seed=args.seed,
-        enum_n_max=args.n_max if args.n_max is not None else 6,
-        triple_n_max=args.n_max if args.n_max is not None else 64,
-    )
+    try:
+        enumeration_budget()
+    except ValueError as exc:
+        return _fail(EXIT_MALFORMED, f"{ENUM_BUDGET_ENV}: {exc}")
+    ok = run_selftest(seed=args.seed, enum_n_max=args.n_max or 6, triple_n_max=args.n_max or 64)
     return EXIT_OK if ok else EXIT_SELFTEST
+
+
+def _count(text: str) -> int:
+    """argparse type of every count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+class _Doubling(argparse.Action):
+    """--geometric: double n each step; the JSON params echo it as step 0."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.geometric, namespace.step = True, 0
+
+
+def _join_negative_spins(argv: List[str]) -> List[str]:
+    """Glue a negative spin value to its flag ("--M", "-1/2" -> "--M=-1/2"):
+    argparse reads any "-" token that is not a plain number as an option."""
+    joined: List[str] = []
+    for token in argv:
+        if joined and joined[-1] in SPIN_FLAGS and token[:1] == "-" and token[1:2].isdigit():
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--digits", type=int, default=6,
+    parser.add_argument("--digits", type=_count, default=6,
                         help="decimal digits for rendered values")
 
 
 def _add_jjjm(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--j1", required=True, help='half-integer, e.g. "1" or "3/2"')
-    parser.add_argument("--j2", required=True)
-    parser.add_argument("--J", required=True)
-    parser.add_argument("--M", required=True)
+    parser.add_argument("--j1", required=True, help='half-integer, e.g. "1" or "-3/2"')
+    for flag in SPIN_FLAGS[1:]:
+        parser.add_argument(flag, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prob", help="path-counting probability table")
-    p.add_argument("--n", type=int, required=True, help="sequence length")
+    p.add_argument("--n", type=_count, required=True, help="sequence length")
     _add_jjjm(p)
     _add_common(p)
     p.set_defaults(func=cmd_prob)
@@ -201,18 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="|P - CG^2| versus sequence length")
     _add_jjjm(p)
-    p.add_argument("--n-start", type=int, required=True)
+    p.add_argument("--n-start", type=_count, required=True)
     p.add_argument("--n-max", type=int, required=True)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--geometric", action="store_true",
+    group.add_argument("--geometric", action=_Doubling, nargs=0, default=False,
                        help="double n each step")
-    group.add_argument("--step", type=int, default=None)
+    group.add_argument("--step", type=_count, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("selftest", help="run the built-in verification suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=None,
+    p.add_argument("--n-max", type=_count, default=None,
                    help="cap for enumeration (default 6) and sampling (default 64)")
     p.set_defaults(func=cmd_selftest)
 
@@ -220,10 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "step", None) is None and hasattr(args, "step"):
-        args.step = 1 if not getattr(args, "geometric", False) else 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_spins(argv))
     try:
         return args.func(args)
     except InvalidQuantumNumberError as exc:

@@ -5,8 +5,6 @@ Every quantum number in this package is kept as twice its value ("tj" is
 arithmetic.  Conversion to fractions or text happens only at the edges.
 """
 
-from fractions import Fraction
-
 from .errors import InvalidQuantumNumberError
 
 
@@ -31,7 +29,3 @@ def format_half_integer(tv: int) -> str:
     if tv % 2 == 0:
         return str(tv // 2)
     return f"{tv}/2"
-
-
-def as_fraction(tv: int) -> Fraction:
-    return Fraction(tv, 2)

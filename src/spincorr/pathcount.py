@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Dict, List, Tuple
 
 from .errors import ConstraintError, DegeneratePriorsError, InvalidQuantumNumberError

@@ -105,7 +105,12 @@ class TestDecimalString:
     def test_round_half_even(self):
         assert decimal_string(Fraction(1, 8), 2) == "0.12"
         assert decimal_string(Fraction(3, 8), 2) == "0.38"
+        # one rounding only: the tiny excess over the half must round up
+        assert decimal_string(Fraction(1, 20) + Fraction(1, 10**41), 1) == "0.1"
 
     def test_digit_count(self):
         assert decimal_string(Fraction(1, 3), 3) == "0.333"
         assert decimal_string(Fraction(2, 1), 4) == "2.0000"
+        # fixed point below 1e-6 and for zero, never exponent form
+        assert decimal_string(Fraction(1, 2704156), 10) == "0.0000003698"
+        assert decimal_string(Fraction(0), 7) == "0.0000000"

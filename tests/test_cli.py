@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spincorr
 from spincorr.cli import main
+
+SRC = str(Path(spincorr.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -185,3 +194,136 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout
+
+
+SPINS_1_1_1_0 = ["--j1", "1", "--j2", "1", "--J", "1", "--M", "0"]
+HALF_SPINS_NEG_M = ["--j1", "1/2", "--j2", "1", "--J", "1/2", "--M", "-1/2"]
+
+# argv, environment, exit code, stderr fragment, run in a subprocess (for
+# requests that once never returned).  Every request that succeeds asks for
+# JSON, which must validate against the schema.
+REGRESSIONS = [
+    pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "2", "--n-max", "8",
+                  "--step", "0"], {}, 2, "--step", True, id="converge-step-0"),
+    pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "2", "--n-max", "8",
+                  "--step", "-1"], {}, 2, "--step", True, id="converge-step-negative"),
+    pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "0", "--n-max", "8",
+                  "--geometric"], {}, 2, "--n-start", True, id="converge-geometric-n-start-0"),
+    pytest.param(["prob", "--n", "6", "--j1", "-1", "--j2", "1", "--J", "1", "--M", "0"],
+                 {}, 2, "triangle", False, id="prob-negative-j"),
+    pytest.param(["prob", "--n", "6", "--j1", "1", "--j2", "1", "--J", "3", "--M", "0"],
+                 {}, 2, "triangle", False, id="prob-triangle"),
+    pytest.param(["cg", "--j1", "-1", "--j2", "1", "--J", "1", "--M", "0"],
+                 {}, 2, "triangle", False, id="cg-negative-j"),
+    pytest.param(["converge", "--j1", "1", "--j2", "1", "--J", "3", "--M", "0",
+                  "--n-start", "2", "--n-max", "8"], {}, 2, "triangle", False,
+                 id="converge-triangle"),
+    pytest.param(["converge", "--j1", "1", "--j2", "1", "--J", "1", "--M", "2",
+                  "--n-start", "2", "--n-max", "8"], {}, 2, "M must satisfy", False,
+                 id="converge-m-range"),
+    pytest.param(["prob", "--n", "0", *SPINS_1_1_1_0], {}, 2, "--n", False, id="prob-n-0"),
+    pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0, "--digits", "0"], {}, 2, "--digits",
+                 False, id="prob-digits-0"),
+    pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0, "--digits", "-2"], {}, 2, "--digits",
+                 False, id="prob-digits-negative"),
+    pytest.param(["cg", *SPINS_1_1_1_0, "--digits", "x"], {}, 2, "--digits", False,
+                 id="cg-digits-not-integer"),
+    pytest.param(["selftest", "--n-max", "0"], {}, 2, "--n-max", False, id="selftest-n-max-0"),
+    pytest.param(["selftest", "--n-max", "2"], {"SPINCORR_ENUM_BUDGET": "abc"}, 2,
+                 "SPINCORR_ENUM_BUDGET", False, id="selftest-malformed-budget"),
+    pytest.param(["cg", *HALF_SPINS_NEG_M, "--format", "json"], {}, 0, "", False,
+                 id="cg-negative-half-integer"),
+    pytest.param(["prob", "--n", "4", *HALF_SPINS_NEG_M, "--format", "json"], {}, 0, "",
+                 False, id="prob-negative-half-integer"),
+    pytest.param(["converge", *HALF_SPINS_NEG_M, "--n-start", "4", "--n-max", "8",
+                  "--format", "json"], {}, 0, "", False, id="converge-negative-half-integer"),
+    pytest.param(["prob", "--n", "64", "--j1", "6", "--j2", "6", "--J", "12", "--M", "0",
+                  "--digits", "10", "--format", "json"], {}, 0, "", False,
+                 id="prob-tiny-probability-fixed-point"),
+    pytest.param(["cg", *SPINS_1_1_1_0, "--digits", "7", "--format", "json"], {}, 0, "",
+                 False, id="cg-zero-fixed-point"),
+]
+
+
+def invoke(argv):
+    """main(argv) with stdout and stderr captured; argparse's SystemExit
+    counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, env, code, fragment, isolated", REGRESSIONS)
+def test_regression(argv, env, code, fragment, isolated, monkeypatch):
+    if isolated:
+        done = subprocess.run(
+            [sys.executable, "-m", "spincorr.cli", *argv], capture_output=True, text=True,
+            timeout=10, env={**os.environ, **env, "PYTHONPATH": SRC},
+        )
+        got, out, err = done.returncode, done.stdout, done.stderr
+    else:
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        got, out, err = invoke(argv)
+    assert got == code
+    assert fragment in err
+    assert "Traceback" not in err
+    if code == 0:
+        jsonschema.validate(json.loads(out), load_schema())
+    else:
+        assert out == ""
+
+
+def test_cg_even_over_two_means_integer(capsys):
+    code, out, _ = run_cli(capsys, "cg", "--j1", "4/2", "--j2", "1", "--J", "1", "--M", "0")
+    assert code == 0
+    assert out.splitlines()[1].startswith("2,1,1,0,")
+
+
+SPIN = st.one_of(st.integers(-3, 3).map(str), st.integers(-6, 6).map(lambda p: f"{p}/2"))
+COUNT = st.integers(-3, 64).map(str)
+
+
+@st.composite
+def spins(draw):
+    """Half the time any four spins, else j1, j2, J <= 3 that pass the
+    triangle rule with an M that J allows, so most requests get past it."""
+    if draw(st.booleans()):
+        return [draw(SPIN) for _ in range(4)]
+    tj1, tj2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    tJ = draw(st.sampled_from(range(abs(tj1 - tj2), min(tj1 + tj2, 6) + 1, 2)))
+    tM = draw(st.sampled_from(range(-tJ, tJ + 1, 2)))
+    return [str(t // 2) if t % 2 == 0 else f"{t}/2" for t in (tj1, tj2, tJ, tM)]
+
+
+@st.composite
+def requests(draw):
+    command = draw(st.sampled_from(["prob", "cg", "converge", "selftest"]))
+    if command == "selftest":
+        return ["selftest", "--n-max", str(draw(st.integers(-3, 6)))]
+    argv = [command]
+    for flag, value in zip(("--j1", "--j2", "--J", "--M"), draw(spins())):
+        argv += [flag, value]
+    if command == "prob":
+        argv += ["--n", draw(COUNT)]
+    elif command == "converge":
+        argv += ["--n-start", draw(COUNT), "--n-max", draw(COUNT)]
+        argv += draw(st.one_of(st.just([]), st.just(["--geometric"]),
+                               COUNT.map(lambda step: ["--step", step])))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    return argv + ["--format", fmt, "--digits", str(draw(st.integers(-3, 40)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests())
+def test_fuzz_main(argv):
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 5.0
+    assert code in (0, 2, 3), err
+    if code == 0 and "json" in argv:
+        jsonschema.validate(json.loads(out), load_schema())
