@@ -15,7 +15,7 @@ from .errors import (
     SpincorrError,
 )
 from .halfint import format_half_integer, parse_half_integer
-from .pathcount import Priors, f_factor, k_bounds, l12_bounds, phi, probability_table, upsilon
+from .pathcount import Priors, f_factor, k_bounds, phi, probability_table, upsilon
 from .quantum_numbers import (
     QN4,
     QN8,

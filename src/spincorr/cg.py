@@ -16,7 +16,7 @@ from typing import Iterable, List, Tuple
 
 from .errors import InvalidQuantumNumberError
 from .pathcount import Priors, probability_table
-from .selection import allowed_m_pairs, check_triangle
+from .selection import check_triangle
 
 
 def _check_jm(tj: int, tm: int, label: str) -> None:

@@ -5,6 +5,14 @@ particular (m10, m02) is a normalized, interference-weighted count of
 local-quantum-number-conserving pairings between two ensembles of base-8
 sequences.  Everything is big-integer / rational; no floating point enters
 any result.
+
+The count is evaluated in closed form: its sum over l12 is a Chu-Vandermonde
+convolution (Petkovsek, Wilf, Zeilberger, "A=B", chapters 3 and 5), which
+leaves a sum over (k_a, k_b) pairs only; see _weight.  The factor K that
+the closed form splits off holds every n!-sized integer and is the same
+for every (m10, m02) pair of the priors, so probability_table normalizes
+without it and its cost does not grow with n.  selftest.upsilon_full_lattice
+keeps the raw lattice sum as the independent oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +20,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from math import factorial
+from typing import List, Tuple
 
 from .errors import ConstraintError, DegeneratePriorsError, InvalidQuantumNumberError
 from .halfint import format_half_integer
@@ -20,16 +29,6 @@ from .quantum_numbers import QN8, counts8_from_qn8
 from .selection import allowed_m_pairs, check_triangle
 
 log = logging.getLogger(__name__)
-
-_FACTORIALS: List[int] = [1]
-
-
-def _fact(n: int) -> int:
-    """Cached factorial; the cache is append-only and read-mostly."""
-    if n >= len(_FACTORIALS):
-        for i in range(len(_FACTORIALS), n + 1):
-            _FACTORIALS.append(_FACTORIALS[-1] * i)
-    return _FACTORIALS[n]
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,8 @@ class Priors:
             raise ConstraintError(
                 f"n = {self.n} is below 2(j10 + j02) = {self.tj10 + self.tj02}"
             )
+        if self.n < 1:
+            raise InvalidQuantumNumberError("n must be positive")
 
 
 def phi(q: QN8) -> int:
@@ -66,9 +67,9 @@ def phi(q: QN8) -> int:
     counts = counts8_from_qn8(q)
     if counts is None:
         return 0
-    result = _fact(q.n)
+    result = factorial(q.n)
     for c in counts.values():
-        result //= _fact(c)
+        result //= factorial(c)
     return result
 
 
@@ -83,7 +84,7 @@ def f_factor(n: int, tj: int, tm: int) -> Fraction:
         raise InvalidQuantumNumberError(f"2j = {tj} exceeds n = {n}")
     c = (tj + tm) // 2
     d = (tj - tm) // 2
-    return Fraction(_fact(c) * _fact(d) * _fact(n - c - d), _fact(n))
+    return Fraction(factorial(c) * factorial(d) * factorial(n - c - d), factorial(n))
 
 
 def k_bounds(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> Tuple[int, int]:
@@ -101,51 +102,57 @@ def k_bounds(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> Tuple[int
     return k_min, k_max
 
 
-def l12_bounds(priors: Priors, k_a: int, k_b: int) -> Tuple[int, int]:
-    """Doubled l12 range on which both observers' counts can be valid."""
+def _weight(priors: Priors, tm10: int, tm02: int) -> Fraction:
+    """Path count of one (m10, m02) outcome divided by the pair-independent
+    K = (n - 2j10)! (n - 2j02)! (2G)! / G!^4, with G = n - j10 - j02 - j12.
+
+    Only the (000) and (111) counts depend on l12, and they sum to G, so
+    the l12 sum of phi_a * phi_b is the Vandermonde convolution
+    n!^2 C(2G, G + s) / (G!^2 P_a P_b), with s = k_b - k_a and P_k the
+    product of the other six count factorials.  The n!^2 cancels against
+    f_a * f_b, which leaves
+    K * c10! d10! c02! d02! * sum over (k_a, k_b) of (-1)^s r(|s|) / (P_a P_b),
+    where r(s) = C(2G, G + s) / C(2G, G) = prod_{i=1..s} (G - i + 1) / (G + i).
+    """
     x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
-    tl_min = -priors.n + priors.tj12 + 2 * max(k_a, k_b)
-    tl_max = priors.n - priors.tj12 - 2 * max(x - k_a, x - k_b)
-    return tl_min, tl_max
+    g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
+    c10, d10 = (priors.tj10 + tm10) // 2, (priors.tj10 - tm10) // 2
+    c02, d02 = (priors.tj02 + tm02) // 2, (priors.tj02 - tm02) // 2
+    k_min, k_max = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
+    f = factorial
+    # the (010, 101, 100, 001, 011, 110) counts at k; all are >= 0 on k_bounds
+    inv_p = {
+        k: Fraction(1, f(k) * f(x - k) * f(k - x + c10) * f(k - x + d02)
+                    * f(d10 - k) * f(c02 - k))
+        for k in range(k_min, k_max + 1)
+    }
+    r = [Fraction(1)]
+    for i in range(1, k_max - k_min + 1):
+        r.append(r[-1] * Fraction(g - i + 1, g + i))
+    total = sum(
+        ((-1) ** abs(b - a) * r[abs(b - a)] * inv_p[a] * inv_p[b]
+         for a in inv_p for b in inv_p),
+        Fraction(0),
+    )
+    return f(c10) * f(d10) * f(c02) * f(d02) * total
 
 
 def upsilon(priors: Priors, tm10: int, tm02: int) -> Fraction:
     """Signed, interference-weighted path count for one (m10, m02) outcome."""
     if tm10 + tm02 != priors.tm12:
         raise InvalidQuantumNumberError("m10 + m02 must equal the prior m12")
-    if abs(tm10) > priors.tj10 or abs(tm02) > priors.tj02:
-        raise InvalidQuantumNumberError("m10, m02 must lie within their j ranges")
-    f_a = f_factor(priors.n, priors.tj10, tm10)
-    f_b = f_factor(priors.n, priors.tj02, tm02)
-
-    k_min, k_max = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
-    phi_cache: Dict[Tuple[int, int], int] = {}
-
-    def phi_at(tl12: int, k: int) -> int:
-        key = (tl12, k)
-        if key not in phi_cache:
-            phi_cache[key] = phi(
-                QN8(
-                    n=priors.n,
-                    tj10=priors.tj10,
-                    tj02=priors.tj02,
-                    tm10=tm10,
-                    tm02=tm02,
-                    tj12=priors.tj12,
-                    tl12=tl12,
-                    k=k,
-                )
-            )
-        return phi_cache[key]
-
-    total = 0
-    for k_a in range(k_min, k_max + 1):
-        for k_b in range(k_min, k_max + 1):
-            sign = -1 if (k_b - k_a) % 2 else 1
-            tl_lo, tl_hi = l12_bounds(priors, k_a, k_b)
-            for tl12 in range(tl_lo, tl_hi + 1, 2):
-                total += sign * phi_at(tl12, k_a) * phi_at(tl12, k_b)
-    return f_a * f_b * total
+    # m02's parity follows from m10's, given the priors' m12
+    if abs(tm10) > priors.tj10 or abs(tm02) > priors.tj02 or (priors.tj10 + tm10) % 2:
+        raise InvalidQuantumNumberError(
+            "m10, m02 must lie within their j ranges in integer steps"
+        )
+    g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
+    pair_free = Fraction(  # the K of _weight
+        factorial(priors.n - priors.tj10) * factorial(priors.n - priors.tj02)
+        * factorial(2 * g),
+        factorial(g) ** 4,
+    )
+    return pair_free * _weight(priors, tm10, tm02)
 
 
 def probability_table(priors: Priors) -> List[Tuple[int, int, Fraction]]:
@@ -156,11 +163,10 @@ def probability_table(priors: Priors) -> List[Tuple[int, int, Fraction]]:
         raise DegeneratePriorsError("no (m10, m02) pair is allowed by the priors")
     weights = []
     for tm10, tm02 in pairs:
-        w = upsilon(priors, tm10, tm02)
+        w = _weight(priors, tm10, tm02)
         if w < 0:
             log.warning(
-                "negative path count %s for (m10, m02) = (%s, %s) under %s",
-                w,
+                "negative path count for (m10, m02) = (%s, %s) under %s",
                 format_half_integer(tm10),
                 format_half_integer(tm02),
                 priors,

@@ -13,15 +13,9 @@ from fractions import Fraction
 from typing import Callable, List, Optional, TextIO, Tuple
 
 from . import brute, pathcount
-from .pathcount import Priors, f_factor, k_bounds, l12_bounds, probability_table, upsilon
-from .quantum_numbers import (
-    QN8,
-    counts4_from_qn4,
-    counts8_from_qn8,
-    qn4_from_counts,
-    qn4_of_corrseq,
-)
-from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
+from .pathcount import Priors, f_factor, probability_table, upsilon
+from .quantum_numbers import QN8, counts4_from_qn4, qn4_from_counts, qn4_of_corrseq
+from .selection import allowed_m_pairs, check_triangle, j12_range
 from .sequences import BitSeq, correlate
 
 
@@ -102,7 +96,7 @@ def _prior_grid(n_max: int, tj_max: int):
         for tj2 in range(0, tj_max + 1):
             for tJ in j12_range(tj1, tj2):
                 for tM in range(-tJ, tJ + 1, 2):
-                    for n in range(tj1 + tj2, n_max + 1):
+                    for n in range(max(1, tj1 + tj2), n_max + 1):
                         yield n, tj1, tj2, tJ, tM
 
 
@@ -110,8 +104,6 @@ def check_normalization(n_max: int, tj_max: int) -> List[str]:
     """Probabilities sum to exactly 1; no negative path counts."""
     problems = []
     for n, tj1, tj2, tJ, tM in _prior_grid(n_max, tj_max):
-        if n < 1:
-            continue
         priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
         try:
             table = probability_table(priors)
@@ -155,18 +147,16 @@ def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
 
 
 def check_bounds_equivalence(n_max: int, tj_max: int) -> List[str]:
-    """Appendix-style loop limits change nothing versus the raw lattice."""
+    """The closed-form upsilon equals the raw lattice sum."""
     problems = []
     for n, tj1, tj2, tJ, tM in _prior_grid(n_max, tj_max):
-        if n < 1:
-            continue
         priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
         for tm10, tm02 in allowed_m_pairs(tj1, tj2, tM):
             fast = upsilon(priors, tm10, tm02)
             slow = upsilon_full_lattice(priors, tm10, tm02)
             if fast != slow:
                 problems.append(
-                    f"bounded sum {fast} != lattice sum {slow} for {priors}, "
+                    f"closed form {fast} != lattice sum {slow} for {priors}, "
                     f"pair ({tm10}, {tm02})"
                 )
     return problems

@@ -242,6 +242,11 @@ REGRESSIONS = [
                  id="prob-tiny-probability-fixed-point"),
     pytest.param(["cg", *SPINS_1_1_1_0, "--digits", "7", "--format", "json"], {}, 0, "",
                  False, id="cg-zero-fixed-point"),
+    pytest.param(["prob", "--n", "1000000", "--j1", "2", "--j2", "2", "--J", "2", "--M", "0",
+                  "--format", "json"], {}, 0, "", True, id="prob-n-one-million"),
+    pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "4", "--n-max", "1048576",
+                  "--geometric", "--format", "json"], {}, 0, "", True,
+                 id="converge-geometric-to-2-pow-20"),
 ]
 
 

@@ -8,12 +8,12 @@ from spincorr.pathcount import (
     Priors,
     f_factor,
     k_bounds,
-    l12_bounds,
     phi,
     probability_table,
     upsilon,
 )
 from spincorr.quantum_numbers import QN8, counts8_from_qn8
+from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import upsilon_full_lattice
 
 
@@ -33,6 +33,8 @@ class TestPriors:
     def test_n_floor_enforced(self):
         with pytest.raises(ConstraintError):
             Priors(n=3, tj10=2, tj02=2, tj12=2, tm12=0)
+        with pytest.raises(InvalidQuantumNumberError):
+            Priors(n=0, tj10=0, tj02=0, tj12=0, tm12=0)
 
     def test_m12_range_enforced(self):
         with pytest.raises(InvalidQuantumNumberError):
@@ -115,31 +117,6 @@ class TestKBounds:
         assert k_bounds(3, 1, 2, 0, 5) == (0, 0)
 
 
-class TestL12Bounds:
-    def test_equal_k(self):
-        priors = Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)
-        assert l12_bounds(priors, 0, 0) == (-4, 2)  # l12 in [-2, 1]
-
-    def test_unequal_k(self):
-        priors = Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)
-        assert l12_bounds(priors, 0, 1) == (-2, 2)  # l12 in [-1, 1]
-
-    def test_maximal_j12_pins_to_zero(self):
-        priors = Priors(n=6, tj10=4, tj02=2, tj12=6, tm12=0)
-        assert l12_bounds(priors, 0, 0) == (0, 0)
-
-    def test_brackets_nonzero_support(self):
-        priors = Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)
-        for k in (0, 1):
-            support = [
-                tl12
-                for tl12 in range(-6, 7)
-                if phi(qn8(6, 2, 2, 0, 0, 2, tl12, k)) > 0
-            ]
-            lo, hi = l12_bounds(priors, k, k)
-            assert min(support) == lo and max(support) == hi
-
-
 class TestUpsilon:
     @pytest.fixture
     def priors(self):
@@ -153,18 +130,31 @@ class TestUpsilon:
     def test_rejects_bad_pair(self, priors):
         with pytest.raises(InvalidQuantumNumberError):
             upsilon(priors, 2, 2)
+        with pytest.raises(InvalidQuantumNumberError):
+            upsilon(priors, 1, -1)
 
     def test_matches_full_lattice_sum(self):
-        for n in (4, 6, 8):
-            for tM in (0, 2):
-                priors = Priors(n=n, tj10=2, tj02=2, tj12=2, tm12=tM)
-                for tm10 in range(-2, 3, 2):
-                    tm02 = tM - tm10
-                    if abs(tm02) > 2:
-                        continue
-                    assert upsilon(priors, tm10, tm02) == upsilon_full_lattice(
-                        priors, tm10, tm02
-                    )
+        # every prior with j1, j2 <= 3/2 up to n = 8, plus j <= 1 at n = 33
+        # and 64, where G is large and the lattice spans many l12 values
+        grid = [
+            (n, tj1, tj2, tJ, tM)
+            for tj1 in range(4)
+            for tj2 in range(4)
+            for tJ in j12_range(tj1, tj2)
+            for tM in range(-tJ, tJ + 1, 2)
+            for n in range(max(1, tj1 + tj2), 9)
+        ]
+        grid += [
+            (n, tj1, tj2, tJ, tM)
+            for n in (33, 64)
+            for tj1, tj2, tJ, tM in ((2, 2, 2, 0), (2, 2, 0, 0), (2, 1, 1, -1), (1, 1, 2, 0))
+        ]
+        for n, tj1, tj2, tJ, tM in grid:
+            priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
+            for tm10, tm02 in allowed_m_pairs(tj1, tj2, tM):
+                assert upsilon(priors, tm10, tm02) == upsilon_full_lattice(
+                    priors, tm10, tm02
+                ), (priors, tm10, tm02)
 
 
 class TestProbabilityTable:
