@@ -2,7 +2,9 @@
 
 Everything here re-derives results by direct enumeration or sampling, with
 no reliance on the closed-form path of pathcount; it exists to cross-check
-that path.
+that path.  The full-grid binning counts sequences by extending prefixes one
+symbol at a time, so no factorial, binomial or multinomial enters this
+module: those belong to pathcount.phi, which the binning checks.
 """
 
 from __future__ import annotations
@@ -31,19 +33,23 @@ def _check_budget(total: int, budget: Optional[int]) -> None:
 
 
 def enumerate_base8_counts(n: int, budget: Optional[int] = None) -> Dict[tuple, int]:
-    """Bin all 8^n order-3 sequences by their count vector in one pass.
+    """Bin all 8^n order-3 sequences by their count vector.
 
-    Keys are 8-tuples of counts in lexicographic symbol order.
+    Keys are 8-tuples of counts in lexicographic symbol order.  Every
+    length-i sequence is one length-(i-1) prefix followed by one symbol, so
+    the bins grow by extending prefixes: each bin's multiplicity passes to
+    the 8 bins holding one more of a symbol.  Only additions are used, no
+    factorial.  The budget still counts the 8^n sequences covered.
     """
     _check_budget(8**n, budget)
-    symbols = list(range(8))
-    bins: Dict[tuple, int] = {}
-    for seq in itertools.product(symbols, repeat=n):
-        counts = [0] * 8
-        for s in seq:
-            counts[s] += 1
-        key = tuple(counts)
-        bins[key] = bins.get(key, 0) + 1
+    bins: Dict[tuple, int] = {(0,) * 8: 1}
+    for _ in range(n):
+        longer: Dict[tuple, int] = {}
+        for key, multiplicity in bins.items():
+            for s in range(8):
+                grown = key[:s] + (key[s] + 1,) + key[s + 1 :]
+                longer[grown] = longer.get(grown, 0) + multiplicity
+        bins = longer
     return bins
 
 

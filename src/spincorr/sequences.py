@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Collection, Dict, Iterator, Sequence, Tuple
 
 from .errors import BudgetExceededError
 
@@ -25,9 +26,27 @@ PAIR_OF_ALIAS = {v: k for k, v in ALIAS_OF_PAIR.items()}
 
 
 def enumeration_budget() -> int:
-    """Current enumeration budget; overridable via SPINCORR_ENUM_BUDGET."""
+    """Current enumeration budget; overridable via SPINCORR_ENUM_BUDGET.
+
+    The budget counts sequences covered; a value below 1 would refuse every
+    enumeration, so it is rejected like a non-integer.
+    """
     raw = os.environ.get(ENUM_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_ENUM_BUDGET
+    if not raw:
+        return DEFAULT_ENUM_BUDGET
+    budget = int(raw)
+    if budget < 1:
+        raise ValueError(f"expected an integer >= 1, got {raw!r}")
+    return budget
+
+
+def _distinct(items: Sequence) -> Collection:
+    """The distinct elements of items, for checks that look at each value
+    once; items itself if some element is unhashable."""
+    try:
+        return set(items)
+    except TypeError:
+        return items
 
 
 @dataclass(frozen=True)
@@ -39,9 +58,10 @@ class BitSeq:
     def __post_init__(self):
         if len(self.bits) < 1:
             raise ValueError("a bit sequence needs length n >= 1")
-        if any(b not in (0, 1) for b in self.bits):
+        bits = tuple(self.bits)
+        if any(b not in (0, 1) for b in _distinct(bits)):
             raise ValueError("bit sequence elements must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(self.bits))
+        object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -66,8 +86,8 @@ class CorrSeq:
             raise ValueError("correlation order must be positive")
         if len(self.symbols) < 1:
             raise ValueError("a correlation sequence needs length n >= 1")
-        symbols = tuple(tuple(s) for s in self.symbols)
-        for sym in symbols:
+        symbols = tuple(map(tuple, self.symbols))
+        for sym in _distinct(symbols):
             if len(sym) != self.order or any(b not in (0, 1) for b in sym):
                 raise ValueError(
                     f"every symbol must be a {self.order}-tuple of bits"
@@ -103,8 +123,7 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
 def count_symbols(c: CorrSeq) -> Dict[Symbol, int]:
     """Occurrence counts over the full 2^d alphabet; missing symbols are 0."""
     counts = {sym: 0 for sym in itertools.product((0, 1), repeat=c.order)}
-    for sym in c.symbols:
-        counts[sym] += 1
+    counts.update(Counter(c.symbols))
     return counts
 
 

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from spincorr import brute
 from spincorr.brute import (
     conserved_quantum_numbers,
     counts_key_to_qn8,
@@ -12,6 +15,42 @@ from spincorr.errors import BudgetExceededError
 from spincorr.pathcount import phi
 from spincorr.quantum_numbers import QN8
 from spincorr.sequences import CorrSeq, parse
+
+
+def literal_base8_counts(n):
+    """Reference binning: step through all 8^n sequences one by one."""
+    bins = {}
+    for seq in itertools.product(range(8), repeat=n):
+        counts = [0] * 8
+        for s in seq:
+            counts[s] += 1
+        key = tuple(counts)
+        bins[key] = bins.get(key, 0) + 1
+    return bins
+
+
+class TestEnumerateBase8Counts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_literal_enumeration(self, n):
+        bins = enumerate_base8_counts(n)
+        reference = literal_base8_counts(n)
+        assert bins == reference
+        # Same key order too, so a failing selftest lists the same mismatches.
+        assert list(bins) == list(reference)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_covers_every_sequence(self, n):
+        assert sum(enumerate_base8_counts(n).values()) == 8**n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_budget_counts_sequences_covered(self, n):
+        with pytest.raises(BudgetExceededError):
+            enumerate_base8_counts(n, budget=8**n - 1)
+        assert sum(enumerate_base8_counts(n, budget=8**n).values()) == 8**n
+
+    def test_no_factorial_enters_the_oracle(self):
+        banned = ("math", "factorial", "comb", "multinomial")
+        assert not [name for name in vars(brute) if any(b in name.lower() for b in banned)]
 
 
 class TestPhiByEnumeration:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -183,6 +184,18 @@ class TestSelftest:
         assert "FAIL phi_by_enumeration equivalence" in captured.out
         assert "phi_by_enumeration mismatch" in captured.out
 
+    def test_random_triples_draw_stream_pinned(self):
+        """A printed seed must sample the same triples in every version:
+        three sequences of n single randrange(2) draws per trial."""
+        from spincorr.selftest import check_random_triples
+
+        rng = random.Random(11)
+        assert check_random_triples([4, 16], 7, rng) == []
+        reference = random.Random(11)
+        for _ in range(3 * 7 * (4 + 16)):
+            reference.randrange(2)
+        assert rng.getstate() == reference.getstate()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self):
@@ -231,6 +244,10 @@ REGRESSIONS = [
     pytest.param(["selftest", "--n-max", "0"], {}, 2, "--n-max", False, id="selftest-n-max-0"),
     pytest.param(["selftest", "--n-max", "2"], {"SPINCORR_ENUM_BUDGET": "abc"}, 2,
                  "SPINCORR_ENUM_BUDGET", False, id="selftest-malformed-budget"),
+    pytest.param(["selftest", "--n-max", "2"], {"SPINCORR_ENUM_BUDGET": "0"}, 2,
+                 "SPINCORR_ENUM_BUDGET", False, id="selftest-zero-budget"),
+    pytest.param(["selftest", "--n-max", "2"], {"SPINCORR_ENUM_BUDGET": "-5"}, 2,
+                 "SPINCORR_ENUM_BUDGET", False, id="selftest-negative-budget"),
     pytest.param(["cg", *HALF_SPINS_NEG_M, "--format", "json"], {}, 0, "", False,
                  id="cg-negative-half-integer"),
     pytest.param(["prob", "--n", "4", *HALF_SPINS_NEG_M, "--format", "json"], {}, 0, "",

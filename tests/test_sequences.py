@@ -9,11 +9,15 @@ from spincorr.sequences import (
     correlate,
     count_symbols,
     enumerate_sequences,
+    enumeration_budget,
     parse,
     render,
 )
 
 A, B, C, D = (0, 0), (1, 1), (1, 0), (0, 1)
+
+BIT_MESSAGE = "bit sequence elements must be 0 or 1"
+SYMBOL_MESSAGE = "every symbol must be a 2-tuple of bits"
 
 
 def bitseq(text):
@@ -36,6 +40,38 @@ bitseq_pairs = st.lists(
         BitSeq(tuple(r[1] for r in rows)),
     )
 )
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            pytest.param(lambda: BitSeq((0, 2)), BIT_MESSAGE, id="bit-2"),
+            pytest.param(lambda: BitSeq((None,)), BIT_MESSAGE, id="bit-none"),
+            pytest.param(lambda: BitSeq(("1",)), BIT_MESSAGE, id="bit-string"),
+            pytest.param(lambda: BitSeq(([0],)), BIT_MESSAGE, id="bit-unhashable"),
+            pytest.param(lambda: BitSeq((0, 1, [1])), BIT_MESSAGE, id="bit-unhashable-last"),
+            pytest.param(lambda: CorrSeq(2, ((0, 1, 0),)), SYMBOL_MESSAGE, id="symbol-length"),
+            pytest.param(lambda: CorrSeq(2, (([0], 1),)), SYMBOL_MESSAGE,
+                         id="symbol-unhashable"),
+            pytest.param(lambda: CorrSeq(2, ((0, 1), ([1], 0))), SYMBOL_MESSAGE,
+                         id="symbol-unhashable-last"),
+            pytest.param(lambda: CorrSeq(2, ((0, 2),)), SYMBOL_MESSAGE, id="symbol-bit-2"),
+        ],
+    )
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError) as excinfo:
+            make()
+        assert excinfo.type is ValueError
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("values", [(True, 0), (1.0,)])
+    def test_accepted_bits_kept_as_given(self, values):
+        assert BitSeq(values).bits == values
+
+    @pytest.mark.parametrize("symbol", [(True, 0), (1.0, 0)])
+    def test_accepted_symbols_kept_as_given(self, symbol):
+        assert CorrSeq(2, (symbol, [0, 1])).symbols == (symbol, (0, 1))
 
 
 class TestCorrelate:
@@ -75,6 +111,11 @@ class TestCountSymbols:
     def test_all_one_symbol(self):
         counts = count_symbols(corr4("AAAAA"))
         assert counts == {A: 5, B: 0, C: 0, D: 0}
+
+    def test_alphabet_keys_in_order(self):
+        counts = count_symbols(CorrSeq(2, ((True, 0), (1, 0), (0, 0))))
+        assert list(counts.items()) == [(A, 1), (D, 0), (C, 2), (B, 0)]
+        assert all(type(b) is int for sym in counts for b in sym)
 
     def test_base8_triple(self):
         c = parse("110,111,100,011")
@@ -149,6 +190,16 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(BudgetExceededError, match="budget"):
             next(enumerate_sequences(30, 1, budget=1000))
+
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    def test_budget_env_below_one_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("SPINCORR_ENUM_BUDGET", raw)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            enumeration_budget()
+
+    def test_explicit_budget_keeps_its_meaning(self):
+        with pytest.raises(BudgetExceededError):
+            next(enumerate_sequences(1, 1, budget=0))
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("SPINCORR_ENUM_BUDGET", "4")
