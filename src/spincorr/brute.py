@@ -4,7 +4,7 @@ Everything here re-derives results by direct enumeration or sampling, with
 no reliance on the closed-form path of pathcount; it exists to cross-check
 that path.  The full-grid binning counts sequences by extending prefixes one
 symbol at a time, so no factorial, binomial or multinomial enters this
-module: those belong to pathcount.phi, which the binning checks.
+module: those belong to quantum_numbers.phi, which the binning checks.
 """
 
 from __future__ import annotations

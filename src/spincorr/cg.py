@@ -9,7 +9,7 @@ Only squares are exposed; sign conventions never enter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, List, Tuple
@@ -75,14 +75,7 @@ def cg_squared(tj1: int, tj2: int, tm1: int, tm2: int, tJ: int, tM: int) -> Frac
     return pre * radicand * zsum * zsum
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    tm10: int
-    tm02: int
-    p: Fraction
-    cg2: Fraction
-    delta: Fraction
+ConvergenceRow = namedtuple("ConvergenceRow", "n tm10 tm02 p cg2 delta")
 
 
 def delta(priors: Priors) -> List[Tuple[int, int, Fraction]]:

@@ -24,8 +24,6 @@ from .errors import (
 from .halfint import format_half_integer, parse_half_integer
 from .pathcount import Priors, probability_table
 from .selection import allowed_m_pairs, check_triangle
-from .selftest import run_selftest
-from .sequences import ENUM_BUDGET_ENV, enumeration_budget
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -136,6 +134,10 @@ def cmd_converge(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here: only selftest loads the oracles and sequence modules
+    from .selftest import run_selftest
+    from .sequences import ENUM_BUDGET_ENV, enumeration_budget
+
     try:
         enumeration_budget()
     except ValueError as exc:

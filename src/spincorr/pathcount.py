@@ -12,65 +12,60 @@ leaves a sum over (k_a, k_b) pairs only; see _weight.  The factor K that
 the closed form splits off holds every n!-sized integer and is the same
 for every (m10, m02) pair of the priors, so probability_table normalizes
 without it and its cost does not grow with n.  selftest.upsilon_full_lattice
-keeps the raw lattice sum as the independent oracle.
+keeps the raw lattice sum as the independent oracle, and the multinomial
+phi it sums lives with the other oracles in quantum_numbers (pathcount.phi
+still resolves to it), so this module does not import quantum_numbers.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from typing import List, Tuple
 
 from .errors import ConstraintError, DegeneratePriorsError, InvalidQuantumNumberError
 from .halfint import format_half_integer
-from .quantum_numbers import QN8, counts8_from_qn8
 from .selection import allowed_m_pairs, check_triangle
 
-log = logging.getLogger(__name__)
 
+class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
+    """The known quantum numbers of a decay / composition experiment:
+    an immutable, validated named tuple."""
 
-@dataclass(frozen=True)
-class Priors:
-    """The known quantum numbers of a decay / composition experiment."""
+    __slots__ = ()
 
-    n: int
-    tj10: int
-    tj02: int
-    tj12: int
-    tm12: int
-
-    def __post_init__(self):
-        if not check_triangle(self.tj10, self.tj02, self.tj12):
+    def __new__(cls, n: int, tj10: int, tj02: int, tj12: int, tm12: int):
+        if not check_triangle(tj10, tj02, tj12):
             raise ConstraintError(
                 "triangle rule violated: |j10 - j02| <= j12 <= j10 + j02 "
                 "with integer perimeter, got j10=%s j02=%s j12=%s"
-                % tuple(format_half_integer(t) for t in (self.tj10, self.tj02, self.tj12))
+                % tuple(format_half_integer(t) for t in (tj10, tj02, tj12))
             )
-        if abs(self.tm12) > self.tj12 or (self.tj12 + self.tm12) % 2:
+        if abs(tm12) > tj12 or (tj12 + tm12) % 2:
             raise InvalidQuantumNumberError(
                 "m12 must satisfy -j12 <= m12 <= j12 in integer steps"
             )
-        if self.n < self.tj10 + self.tj02:
-            raise ConstraintError(
-                f"n = {self.n} is below 2(j10 + j02) = {self.tj10 + self.tj02}"
-            )
-        if self.n < 1:
+        if n < tj10 + tj02:
+            raise ConstraintError(f"n = {n} is below 2(j10 + j02) = {tj10 + tj02}")
+        if n < 1:
             raise InvalidQuantumNumberError("n must be positive")
+        return super().__new__(cls, n, tj10, tj02, tj12, tm12)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
 
-def phi(q: QN8) -> int:
-    """Number of base-8 sequences carrying exactly q's quantum numbers:
-    the multinomial n! over the factorials of all eight counts, or 0 when
-    the counts are invalid."""
-    counts = counts8_from_qn8(q)
-    if counts is None:
-        return 0
-    result = factorial(q.n)
-    for c in counts.values():
-        result //= factorial(c)
-    return result
+def __getattr__(name: str):
+    # phi, the multinomial path count, is an oracle that lives in
+    # quantum_numbers; it is still answered here for existing callers
+    if name == "phi":
+        from .quantum_numbers import phi
+
+        return phi
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def f_factor(n: int, tj: int, tm: int) -> Fraction:
@@ -165,7 +160,9 @@ def probability_table(priors: Priors) -> List[Tuple[int, int, Fraction]]:
     for tm10, tm02 in pairs:
         w = _weight(priors, tm10, tm02)
         if w < 0:
-            log.warning(
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "negative path count for (m10, m02) = (%s, %s) under %s",
                 format_half_integer(tm10),
                 format_half_integer(tm02),

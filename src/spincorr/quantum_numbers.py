@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidQuantumNumberError
@@ -191,6 +192,22 @@ def counts8_from_qn8(q: QN8) -> Optional[Counts8]:
             return None
         counts[sym] = tv // 2
     return counts
+
+
+def phi(q: QN8) -> int:
+    """Number of base-8 sequences carrying exactly q's quantum numbers:
+    the multinomial n! over the factorials of all eight counts, or 0 when
+    the counts are invalid.
+
+    An oracle: the closed-form path count in pathcount never calls it.
+    """
+    counts = counts8_from_qn8(q)
+    if counts is None:
+        return 0
+    result = factorial(q.n)
+    for c in counts.values():
+        result //= factorial(c)
+    return result
 
 
 def qn8_of_corrseq(c: CorrSeq) -> QN8:

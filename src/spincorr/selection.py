@@ -7,10 +7,12 @@ integrality forces j10 + j02 + j12 to be an integer.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from .errors import ConstraintError
-from .quantum_numbers import QN4, counts4_from_qn4, A, B, C, D
+
+if TYPE_CHECKING:
+    from .quantum_numbers import QN4
 
 
 def check_triangle(tj10: int, tj02: int, tj12: int) -> bool:
@@ -44,6 +46,10 @@ def j12_bounds_constrained(q10: QN4, q02: QN4, n: int) -> Tuple[int, int]:
     coincide with the plain triangle bounds once n >= 2(j10 + j02) and the
     g, l capacities are non-binding.
     """
+    # imported here so that the probability path never loads the
+    # sequence-level modules
+    from .quantum_numbers import A, B, C, D, counts4_from_qn4
+
     if q10.n != n or q02.n != n:
         raise ConstraintError(
             f"relations disagree on n: {q10.n}, {q02.n} (expected {n})"

@@ -12,9 +12,9 @@ import sys
 from fractions import Fraction
 from typing import Callable, List, Optional, TextIO, Tuple
 
-from . import brute, pathcount
+from . import brute
 from .pathcount import Priors, f_factor, probability_table, upsilon
-from .quantum_numbers import QN8, counts4_from_qn4, qn4_from_counts, qn4_of_corrseq
+from .quantum_numbers import QN8, counts4_from_qn4, phi, qn4_from_counts, qn4_of_corrseq
 from .selection import allowed_m_pairs, check_triangle, j12_range
 from .sequences import BitSeq, correlate
 
@@ -132,13 +132,13 @@ def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
         for k_b in range(0, k_hi + 1):
             sign = -1 if (k_b - k_a) % 2 else 1
             for tl12 in range(-priors.n, priors.n + 1):
-                pa = pathcount.phi(
+                pa = phi(
                     QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
                         priors.tj12, tl12, k_a)
                 )
                 if pa == 0:
                     continue
-                pb = pathcount.phi(
+                pb = phi(
                     QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
                         priors.tj12, tl12, k_b)
                 )
@@ -173,7 +173,7 @@ def run_selftest(
     """Run every check; print one line per check plus the seed."""
     out = out if out is not None else sys.stdout
     rng = random.Random(seed)
-    phi_fn = phi_fn or pathcount.phi
+    phi_fn = phi_fn or phi
     triple_ns = [n for n in (4, 16, 64) if n <= triple_n_max] or [max(2, triple_n_max)]
     map_n = min(32, triple_n_max)
     norm_n = min(12, max(2, enum_n_max * 2))

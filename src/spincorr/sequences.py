@@ -49,6 +49,12 @@ def _distinct(items: Sequence) -> Collection:
         return items
 
 
+def _as_bit(b) -> int:
+    """An accepted element (== 0 or == 1, e.g. True, 1.0, 0j) as the int
+    0 or 1; by value, because int(0j) raises."""
+    return 1 if b == 1 else 0
+
+
 @dataclass(frozen=True)
 class BitSeq:
     """A fixed-length sequence of bits; the ontic element of the model."""
@@ -59,8 +65,11 @@ class BitSeq:
         if len(self.bits) < 1:
             raise ValueError("a bit sequence needs length n >= 1")
         bits = tuple(self.bits)
-        if any(b not in (0, 1) for b in _distinct(bits)):
+        distinct = _distinct(bits)
+        if any(b not in (0, 1) for b in distinct):
             raise ValueError("bit sequence elements must be 0 or 1")
+        if any(type(b) is not int for b in distinct):
+            bits = tuple(map(_as_bit, bits))
         object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
@@ -87,11 +96,14 @@ class CorrSeq:
         if len(self.symbols) < 1:
             raise ValueError("a correlation sequence needs length n >= 1")
         symbols = tuple(map(tuple, self.symbols))
-        for sym in _distinct(symbols):
+        distinct = _distinct(symbols)
+        for sym in distinct:
             if len(sym) != self.order or any(b not in (0, 1) for b in sym):
                 raise ValueError(
                     f"every symbol must be a {self.order}-tuple of bits"
                 )
+        if any(type(b) is not int for sym in distinct for b in sym):
+            symbols = tuple(tuple(map(_as_bit, sym)) for sym in symbols)
         object.__setattr__(self, "symbols", symbols)
 
     def __len__(self) -> int:

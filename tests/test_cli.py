@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -207,6 +208,87 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout
+
+
+# Modules the table commands must not load: the oracles, the sequence layer
+# and the standard-library modules only they need.
+SELFTEST_ONLY = ["spincorr.selftest", "spincorr.brute", "spincorr.quantum_numbers",
+                 "spincorr.sequences", "dataclasses", "inspect", "logging"]
+
+IMPORT_GRAPH_SCRIPT = """
+import sys
+import spincorr.cli
+
+def loaded():
+    return ",".join(m for m in {modules!r} if m in sys.modules)
+
+spins = ["--j1", "3/2", "--j2", "1", "--J", "3/2", "--M", "1/2"]
+for fmt in ("csv", "json"):
+    spincorr.cli.main(["prob", "--n", "9", *spins, "--format", fmt])
+    spincorr.cli.main(["cg", *spins, "--format", fmt])
+    spincorr.cli.main(["converge", *spins, "--n-start", "5", "--n-max", "40",
+                       "--geometric", "--format", fmt])
+print("loaded after tables:", loaded())
+spincorr.cli.main(["selftest", "--n-max", "2"])
+print("loaded after selftest:", loaded())
+"""
+
+
+def test_table_commands_import_only_the_closed_form_path():
+    # -S keeps the site hooks of the interpreter's installation, which may
+    # import anything, out of the check
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_GRAPH_SCRIPT.format(modules=SELFTEST_ONLY)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if line.startswith("loaded after")]
+    assert lines == [
+        "loaded after tables: ",
+        "loaded after selftest: " + ",".join(SELFTEST_ONLY[:-1]),
+    ]
+
+
+# Exit code and stdout sha256 of each request, recorded before the package's
+# imports were made lazy; stdout must stay byte-identical.
+GOLDEN = [
+    pytest.param(["prob", "--n", "6", "--j1", "1", "--j2", "1", "--J", "1", "--M", "0"], 0,
+                 "763af778a72f5b6625008524e244ce6d49f2a7df37d33fe38085ae6bc8e82e36",
+                 id="readme-worked-example"),
+    pytest.param(["prob", "--n", "9", "--j1", "3/2", "--j2", "1", "--J", "3/2", "--M", "1/2",
+                  "--digits=20"], 0,
+                 "5d01c811e9ac15ff6ce6b9a327e2850ccd03889d22e1631250b82f33f2a80f41",
+                 id="prob-half-integer-csv"),
+    pytest.param(["prob", "--n", "9", "--j1", "3/2", "--j2", "1", "--J", "3/2", "--M", "1/2",
+                  "--digits=20", "--format", "json"], 0,
+                 "b5492307a3d9ffbc794351bdfb3c0ad80cc4bb8443ca733711d601530c652693",
+                 id="prob-half-integer-json"),
+    pytest.param(["cg", "--j1", "3/2", "--j2", "1", "--J", "5/2", "--M", "-1/2"], 0,
+                 "1ab8697d1d65c92012c64bd389ed249f43883e832b6a034d8e99e911cc87d680",
+                 id="cg-csv"),
+    pytest.param(["cg", "--j1", "2", "--j2", "3/2", "--J", "3/2", "--M", "1/2",
+                  "--format", "json"], 0,
+                 "b256adf730e99b1b83baf91515db6e4a5fbbb0e4d0595b07ee6ebb4e4787ddd7",
+                 id="cg-json"),
+    pytest.param(["converge", "--j1", "1", "--j2", "1", "--J", "1", "--M", "0",
+                  "--n-start", "6", "--n-max", "96", "--geometric"], 0,
+                 "003d18ee4104e236e67eff41eae3c4bc2e01104c86443c9f2415eb097e7e148b",
+                 id="converge-geometric"),
+    pytest.param(["converge", "--j1", "1/2", "--j2", "1", "--J", "1/2", "--M", "-1/2",
+                  "--n-start", "3", "--n-max", "11", "--step", "2", "--format", "json"], 0,
+                 "9f3788c2854112018c22907909d9527872cd6244d6a0a9f9bb47835a901f0f4f",
+                 id="converge-linear-json"),
+    pytest.param(["selftest", "--seed", "0", "--n-max", "2"], 0,
+                 "b50c255c545fe78fdd68d50fa04c70de93f796bcb1d06b3763eed1689cdc7d15",
+                 id="selftest-seed-0"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN)
+def test_golden_stdout(argv, code, digest):
+    got, out, _ = invoke(argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 SPINS_1_1_1_0 = ["--j1", "1", "--j2", "1", "--J", "1", "--M", "0"]

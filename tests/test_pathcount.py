@@ -1,7 +1,9 @@
+import logging
 from fractions import Fraction
 
 import pytest
 
+from spincorr import pathcount
 from spincorr.brute import phi_by_enumeration
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
 from spincorr.pathcount import (
@@ -39,6 +41,45 @@ class TestPriors:
     def test_m12_range_enforced(self):
         with pytest.raises(InvalidQuantumNumberError):
             Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=4)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((10, 2, 2, 6, 0), ConstraintError,
+             "triangle rule violated: |j10 - j02| <= j12 <= j10 + j02 "
+             "with integer perimeter, got j10=1 j02=1 j12=3"),
+            ((6, 2, 2, 2, 4), InvalidQuantumNumberError,
+             "m12 must satisfy -j12 <= m12 <= j12 in integer steps"),
+            ((3, 2, 2, 2, 0), ConstraintError, "n = 3 is below 2(j10 + j02) = 4"),
+            ((0, 0, 0, 0, 0), InvalidQuantumNumberError, "n must be positive"),
+            # the checks run in this order: a triangle violation wins
+            ((0, 2, 2, 6, 8), ConstraintError,
+             "triangle rule violated: |j10 - j02| <= j12 <= j10 + j02 "
+             "with integer perimeter, got j10=1 j02=1 j12=3"),
+            ((0, 2, 2, 2, 4), InvalidQuantumNumberError,
+             "m12 must satisfy -j12 <= m12 <= j12 in integer steps"),
+        ],
+    )
+    def test_rejection_type_and_message(self, args, error, message):
+        with pytest.raises(error) as excinfo:
+            Priors(*args)
+        assert excinfo.type is error
+        assert str(excinfo.value) == message
+
+    def test_value_semantics(self):
+        priors = Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)
+        assert repr(priors) == "Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)"
+        assert priors == Priors(6, 2, 2, 2, 0)
+        assert priors != Priors(8, 2, 2, 2, 0)
+        assert hash(priors) == hash(Priors(6, 2, 2, 2, 0)) == hash((6, 2, 2, 2, 0))
+        assert (priors.n, priors.tj10, priors.tj02, priors.tj12, priors.tm12) == (6, 2, 2, 2, 0)
+        with pytest.raises(AttributeError):
+            priors.n = 8
+        with pytest.raises(AttributeError):
+            priors.extra = 1
+        assert priors._replace(n=8) == Priors(8, 2, 2, 2, 0)
+        with pytest.raises(ConstraintError):
+            priors._replace(n=3)
 
 
 class TestPhi:
@@ -187,6 +228,24 @@ class TestProbabilityTable:
                     priors = Priors(n=n, tj10=2, tj02=2, tj12=tJ, tm12=tM)
                     table = probability_table(priors)
                     assert sum(p for _, _, p in table) == 1
+
+    def test_negative_weight_is_logged(self, monkeypatch, caplog):
+        weight = pathcount._weight
+
+        def one_negative(priors, tm10, tm02):
+            w = weight(priors, tm10, tm02)
+            return -w if (tm10, tm02) == (0, 0) else w
+
+        monkeypatch.setattr(pathcount, "_weight", one_negative)
+        priors = Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)
+        with caplog.at_level(logging.WARNING, logger="spincorr.pathcount"):
+            table = probability_table(priors)
+        assert sum(p for _, _, p in table) == 1
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("spincorr.pathcount",
+             "negative path count for (m10, m02) = (0, 0) under "
+             "Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)"),
+        ]
 
     def test_mirror_symmetry_at_zero_m12(self):
         priors = Priors(n=10, tj10=4, tj02=2, tj12=4, tm12=0)

@@ -73,6 +73,21 @@ class TestValidation:
     def test_accepted_symbols_kept_as_given(self, symbol):
         assert CorrSeq(2, (symbol, [0, 1])).symbols == (symbol, (0, 1))
 
+    @pytest.mark.parametrize(
+        "make, text, stored",
+        [
+            pytest.param(lambda: BitSeq((1.0, 0)), str, lambda s: s.bits, id="bit-float"),
+            pytest.param(lambda: BitSeq((True, 0)), str, lambda s: s.bits, id="bit-bool"),
+            pytest.param(lambda: BitSeq((1, 0j)), str, lambda s: s.bits, id="bit-complex"),
+            pytest.param(lambda: CorrSeq(1, ((1.0,), (0,))), render,
+                         lambda s: [b for sym in s.symbols for b in sym], id="symbol-float"),
+        ],
+    )
+    def test_accepted_elements_stored_as_int(self, make, text, stored):
+        seq = make()
+        assert text(seq) == "10"
+        assert [type(b) for b in stored(seq)] == [int, int]
+
 
 class TestCorrelate:
     def test_worked_base4_example(self):
