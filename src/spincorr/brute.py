@@ -126,13 +126,39 @@ def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> FrozenSet[s
     return frozenset(names)
 
 
+# top byte of a 32-bit Mersenne Twister output -> randrange(2) outcome, with
+# 2 for a rejected draw (top bit set)
+_TOP_BYTE_TO_BIT = bytes(b >> 6 if b < 0x80 else 2 for b in range(256))
+
+
+def random_bits(rng: random.Random, count: int) -> Tuple[int, ...]:
+    """count random bits: exactly tuple(rng.randrange(2) for _ in range(count)),
+    leaving rng in exactly the state those calls leave it in.
+
+    For random.Random itself only (not a subclass that overrides random()
+    or getrandbits()).  CPython's randrange(2) is _randbelow(2), a loop of
+    getrandbits(2) calls that ends at the first value below 2.  Each
+    getrandbits(2) call takes the top two bits of one 32-bit output of the
+    generator, so a draw is 0 or 1 when the output's top bit is clear (the
+    bit is then the next one down) and is redrawn when it is set.
+    getrandbits(32 * k) consumes exactly k outputs and stores them
+    little-endian, so byte 4i + 3 of the result is the top byte of output i.
+    Every output yields at most one bit, so drawing as many outputs as bits
+    are still missing never draws past the last one randrange would use;
+    the rejected outputs are dropped and the shortfall is drawn again.
+    """
+    bits = b""
+    while len(bits) < count:
+        need = count - len(bits)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        bits += words[3::4].translate(_TOP_BYTE_TO_BIT).replace(b"\x02", b"")
+    return tuple(bits)
+
+
 def _random_corrseq(rng: random.Random, n: int) -> CorrSeq:
-    return correlate(
-        [
-            BitSeq(tuple(rng.randrange(2) for _ in range(n))),
-            BitSeq(tuple(rng.randrange(2) for _ in range(n))),
-        ]
-    )
+    """Two random n-bit columns correlated, drawn first column first."""
+    bits = random_bits(rng, 2 * n)
+    return CorrSeq._trusted(2, tuple(zip(bits[:n], bits[n:])))
 
 
 def map_conservation_report(n: int, trials: int, seed: int) -> Dict:
@@ -162,7 +188,7 @@ def map_conservation_report(n: int, trials: int, seed: int) -> Dict:
         initial = _random_corrseq(rng, n)
         permuted = list(initial.symbols)
         rng.shuffle(permuted)
-        final = CorrSeq(order=2, symbols=tuple(permuted))
+        final = CorrSeq._trusted(2, tuple(permuted))
         mapping = apply_map(initial, final)
         conserved = conserved_quantum_numbers(initial, mapping)
         if conserved != frozenset("jmgl"):

@@ -8,8 +8,6 @@ enumeration budget honours the SPINCORR_ENUM_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -46,7 +44,10 @@ def _fail(code: int, message: str) -> int:
 
 
 def _emit(rows: List[Dict], columns: List[str], args, command: str) -> None:
+    # json and csv are imported here: a request needs only the one it asked for
     if args.format == "json":
+        import json
+
         payload = {
             "command": command,
             "params": {
@@ -58,6 +59,8 @@ def _emit(rows: List[Dict], columns: List[str], args, command: str) -> None:
         json.dump(payload, sys.stdout, indent=2)
         print()
     else:
+        import csv
+
         writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

@@ -13,14 +13,10 @@ from fractions import Fraction
 from typing import Callable, List, Optional, TextIO, Tuple
 
 from . import brute
-from .pathcount import Priors, f_factor, probability_table, upsilon
+from .pathcount import Priors, _weight, f_factor, probability_table, upsilon
 from .quantum_numbers import QN8, counts4_from_qn4, phi, qn4_from_counts, qn4_of_corrseq
 from .selection import allowed_m_pairs, check_triangle, j12_range
 from .sequences import BitSeq, correlate
-
-
-def _random_bitseq(rng: random.Random, n: int) -> BitSeq:
-    return BitSeq(tuple(rng.randrange(2) for _ in range(n)))
 
 
 def check_phi_equivalence(enum_n_max: int, phi_fn: Callable[[QN8], int]) -> List[str]:
@@ -46,7 +42,9 @@ def check_random_triples(n_values: List[int], trials: int, rng: random.Random) -
     problems = []
     for n in n_values:
         for _ in range(trials):
-            s1, s0, s2 = (_random_bitseq(rng, n) for _ in range(3))
+            # the n bits of s1, then of s0, then of s2, in one draw
+            bits = brute.random_bits(rng, 3 * n)
+            s1, s0, s2 = (BitSeq._trusted(bits[i : i + n]) for i in (0, n, 2 * n))
             q10 = qn4_of_corrseq(correlate([s1, s0]))
             q02 = qn4_of_corrseq(correlate([s0, s2]))
             q12 = qn4_of_corrseq(correlate([s1, s2]))
@@ -113,7 +111,8 @@ def check_normalization(n_max: int, tj_max: int) -> List[str]:
         if total != 1:
             problems.append(f"normalization failed for {priors}: sum = {total}")
         for tm10, tm02, _ in table:
-            if upsilon(priors, tm10, tm02) < 0:
+            # upsilon is _weight times a positive, pair-independent factor
+            if _weight(priors, tm10, tm02) < 0:
                 problems.append(
                     f"negative path count for {priors}, pair ({tm10}, {tm02})"
                 )
@@ -122,27 +121,28 @@ def check_normalization(n_max: int, tj_max: int) -> List[str]:
 
 def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
     """Reference path count: scan the whole (k, l12) rectangle, letting
-    invalid lattice points contribute zero, with no precomputed bounds."""
+    invalid lattice points contribute zero, with no precomputed bounds.
+
+    phi is evaluated once at every lattice point, then the sum runs over
+    every (k_a, k_b) pair of rows of those values.
+    """
     f_a = f_factor(priors.n, priors.tj10, tm10)
     f_b = f_factor(priors.n, priors.tj02, tm02)
     # crude but safe cap: k is a count bounded by both 2j10 and 2j02
     k_hi = min(priors.tj10, priors.tj02)
+    rows = [
+        [
+            phi(QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
+                    priors.tj12, tl12, k))
+            for tl12 in range(-priors.n, priors.n + 1)
+        ]
+        for k in range(0, k_hi + 1)
+    ]
     total = 0
-    for k_a in range(0, k_hi + 1):
-        for k_b in range(0, k_hi + 1):
+    for k_a, row_a in enumerate(rows):
+        for k_b, row_b in enumerate(rows):
             sign = -1 if (k_b - k_a) % 2 else 1
-            for tl12 in range(-priors.n, priors.n + 1):
-                pa = phi(
-                    QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
-                        priors.tj12, tl12, k_a)
-                )
-                if pa == 0:
-                    continue
-                pb = phi(
-                    QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
-                        priors.tj12, tl12, k_b)
-                )
-                total += sign * pa * pb
+            total += sign * sum(pa * pb for pa, pb in zip(row_a, row_b))
     return f_a * f_b * total
 
 

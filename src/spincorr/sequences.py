@@ -72,6 +72,15 @@ class BitSeq:
             bits = tuple(map(_as_bit, bits))
         object.__setattr__(self, "bits", bits)
 
+    @classmethod
+    def _trusted(cls, bits: Tuple[int, ...]) -> "BitSeq":
+        """A BitSeq of bits already known valid: a non-empty tuple of the
+        ints 0 and 1.  Skips __post_init__; for values built by this
+        package only."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "bits", bits)
+        return self
+
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -106,6 +115,16 @@ class CorrSeq:
             symbols = tuple(tuple(map(_as_bit, sym)) for sym in symbols)
         object.__setattr__(self, "symbols", symbols)
 
+    @classmethod
+    def _trusted(cls, order: int, symbols: Tuple[Symbol, ...]) -> "CorrSeq":
+        """A CorrSeq of symbols already known valid: a non-empty tuple of
+        order-tuples of the ints 0 and 1.  Skips __post_init__; for values
+        built by this package only."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "symbols", symbols)
+        return self
+
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -121,7 +140,8 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
     """Glue d >= 2 equal-length bit sequences column-wise.
 
     Input order is preserved; the operator is non-commutative in its effect
-    on the sign of m.
+    on the sign of m.  The columns of validated BitSeqs are valid symbols,
+    so they are validated again only when some input is not a plain BitSeq.
     """
     if len(seqs) < 2:
         raise ValueError("correlation needs at least 2 sequences")
@@ -129,6 +149,8 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
     if any(len(s) != n for s in seqs):
         raise ValueError("correlation needs sequences of equal length")
     symbols = tuple(zip(*(s.bits for s in seqs)))
+    if all(type(s) is BitSeq for s in seqs):
+        return CorrSeq._trusted(len(seqs), symbols)
     return CorrSeq(order=len(seqs), symbols=symbols)
 
 
@@ -140,7 +162,11 @@ def count_symbols(c: CorrSeq) -> Dict[Symbol, int]:
 
 
 def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:
-    """Element-wise addition modulo two; an involution."""
+    """Element-wise addition modulo two; an involution.
+
+    XOR keeps validated 0/1 symbols valid, so plain CorrSeq inputs give a
+    result that is not validated again.
+    """
     if initial.order != mapping.order:
         raise ValueError("map must have the same order as the sequence")
     if len(initial) != len(mapping):
@@ -149,6 +175,8 @@ def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:
         tuple(a ^ b for a, b in zip(sa, sb))
         for sa, sb in zip(initial.symbols, mapping.symbols)
     )
+    if type(initial) is CorrSeq and type(mapping) is CorrSeq:
+        return CorrSeq._trusted(initial.order, symbols)
     return CorrSeq(order=initial.order, symbols=symbols)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from spincorr.brute import (
     enumerate_base8_counts,
     map_conservation_report,
     phi_by_enumeration,
+    random_bits,
     witness_triples,
 )
 from spincorr.errors import BudgetExceededError
@@ -133,3 +135,47 @@ class TestMapConservation:
         assert report["mismatches"] == []
         assert report["seed"] == 42
         assert sum(report["conserved_tally"].values()) == 300
+
+    @pytest.mark.parametrize("seed, tally, next_bits", [
+        (3, {"gjm": 2, "gjl": 3, "-": 157, "l": 11, "m": 8, "gj": 18, "lm": 1},
+         17963031465775921355),
+        (41, {"-": 146, "l": 10, "m": 10, "gj": 21, "gjl": 6, "lm": 3, "gjm": 4},
+         229969984369150791),
+        (2024, {"gj": 22, "-": 153, "gjm": 2, "m": 12, "gjlm": 1, "l": 7, "lm": 2,
+                "gjl": 1}, 11815835622383892233),
+    ])
+    def test_sampled_draws_pinned(self, monkeypatch, seed, tally, next_bits):
+        """The tally, its key order and the next 64 bits of the report's own
+        generator, recorded before the bits were drawn in bulk."""
+        made = []
+
+        class Recorded(random.Random):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(brute.random, "Random", Recorded)
+        report = map_conservation_report(32, 200, seed)
+        assert report["conserved_tally"] == tally
+        assert list(report["conserved_tally"]) == list(tally)
+        assert made[0].getrandbits(64) == next_bits
+
+
+    def test_random_corrseq_draws_pinned(self):
+        """Column order is invisible in the tally (swapping both columns of
+        a sequence and of its map conserves the same numbers), so the
+        sequences themselves are pinned, as recorded before the bulk draw."""
+        rng = random.Random(5)
+        drawn = [str(brute._random_corrseq(rng, 12)) for _ in range(3)]
+        assert drawn == ["CCACDDADCCAB", "AADDADDACBAD", "CABABBCBBDCB"]
+        assert rng.getrandbits(64) == 13055835522087669495
+
+
+class TestRandomBits:
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 64, 5000])
+    def test_same_bits_and_state_as_randrange(self, count):
+        for seed in range(50):
+            rng, reference = random.Random(seed), random.Random(seed)
+            bits = random_bits(rng, count)
+            assert bits == tuple(reference.randrange(2) for _ in range(count))
+            assert rng.getstate() == reference.getstate()

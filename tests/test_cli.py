@@ -197,6 +197,33 @@ class TestSelftest:
             reference.randrange(2)
         assert rng.getstate() == reference.getstate()
 
+    def test_random_triples_failure_messages_pinned(self, monkeypatch):
+        """Each failure message names the drawn triple, so with the triangle
+        check forced to fail the messages list every triple drawn; the
+        triples and the next 64 random bits were recorded before the bits
+        were drawn in bulk."""
+        from spincorr import selftest
+
+        monkeypatch.setattr(selftest, "check_triangle", lambda *tj: False)
+        rng = random.Random(7)
+        assert selftest.check_random_triples([4, 16], 7, rng) == [
+            "j triangle failed at n=4 for (1010, 0010, 0001)",
+            "j triangle failed at n=4 for (1000, 1000, 0100)",
+            "j triangle failed at n=4 for (0011, 0010, 0010)",
+            "j triangle failed at n=4 for (0001, 1111, 1100)",
+            "j triangle failed at n=4 for (0011, 1110, 0101)",
+            "j triangle failed at n=4 for (0110, 0111, 1100)",
+            "j triangle failed at n=4 for (1100, 1111, 1011)",
+            "j triangle failed at n=16 for (0010010011100111, 0111110000000010, 1100111001111101)",
+            "j triangle failed at n=16 for (1000010010000010, 0010111100111110, 0011100010010110)",
+            "j triangle failed at n=16 for (1010001001100111, 0111100001010101, 1001010110111000)",
+            "j triangle failed at n=16 for (0001011000000100, 0101011100111000, 1000001001100001)",
+            "j triangle failed at n=16 for (0010011011101010, 1011100100100101, 0100110001111011)",
+            "j triangle failed at n=16 for (0101110111000001, 1001011101101001, 0100100010101110)",
+            "j triangle failed at n=16 for (0000100011011011, 0100001010111100, 1001100001100011)",
+        ]
+        assert rng.getrandbits(64) == 4468039937841269444
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self):
@@ -219,38 +246,53 @@ IMPORT_GRAPH_SCRIPT = """
 import sys
 import spincorr.cli
 
-def loaded():
-    return ",".join(m for m in {modules!r} if m in sys.modules)
+def loaded(modules):
+    return ",".join(m for m in modules if m in sys.modules)
 
 spins = ["--j1", "3/2", "--j2", "1", "--J", "3/2", "--M", "1/2"]
-for fmt in ("csv", "json"):
+for fmt in {formats!r}:
     spincorr.cli.main(["prob", "--n", "9", *spins, "--format", fmt])
     spincorr.cli.main(["cg", *spins, "--format", fmt])
     spincorr.cli.main(["converge", *spins, "--n-start", "5", "--n-max", "40",
                        "--geometric", "--format", fmt])
-print("loaded after tables:", loaded())
+    print("loaded after", fmt, "tables:", loaded({modules!r} + ["csv", "json"]))
 spincorr.cli.main(["selftest", "--n-max", "2"])
-print("loaded after selftest:", loaded())
+print("loaded after selftest:", loaded({modules!r}))
 """
 
 
-def test_table_commands_import_only_the_closed_form_path():
+def loaded_modules(formats):
+    """The "loaded after" lines of IMPORT_GRAPH_SCRIPT run with the table
+    requests in the given output formats, in that order."""
     # -S keeps the site hooks of the interpreter's installation, which may
     # import anything, out of the check
+    script = IMPORT_GRAPH_SCRIPT.format(formats=formats, modules=SELFTEST_ONLY)
     done = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_GRAPH_SCRIPT.format(modules=SELFTEST_ONLY)],
+        [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
     )
     assert done.returncode == 0, done.stderr
-    lines = [line for line in done.stdout.splitlines() if line.startswith("loaded after")]
-    assert lines == [
-        "loaded after tables: ",
+    return [line for line in done.stdout.splitlines() if line.startswith("loaded after")]
+
+
+def test_table_commands_import_only_the_closed_form_path():
+    # a csv request loads neither json nor the selftest-only modules
+    assert loaded_modules(["csv", "json"]) == [
+        "loaded after csv tables: csv",
+        "loaded after json tables: csv,json",
+        "loaded after selftest: " + ",".join(SELFTEST_ONLY[:-1]),
+    ]
+
+
+def test_json_request_does_not_import_csv():
+    assert loaded_modules(["json"]) == [
+        "loaded after json tables: json",
         "loaded after selftest: " + ",".join(SELFTEST_ONLY[:-1]),
     ]
 
 
 # Exit code and stdout sha256 of each request, recorded before the package's
-# imports were made lazy; stdout must stay byte-identical.
+# imports were made lazy (unless noted); stdout must stay byte-identical.
 GOLDEN = [
     pytest.param(["prob", "--n", "6", "--j1", "1", "--j2", "1", "--J", "1", "--M", "0"], 0,
                  "763af778a72f5b6625008524e244ce6d49f2a7df37d33fe38085ae6bc8e82e36",
@@ -281,6 +323,11 @@ GOLDEN = [
     pytest.param(["selftest", "--seed", "0", "--n-max", "2"], 0,
                  "b50c255c545fe78fdd68d50fa04c70de93f796bcb1d06b3763eed1689cdc7d15",
                  id="selftest-seed-0"),
+    # the full default suite, recorded before the selftest drew its random
+    # bits in bulk: it reaches n = 16 and 64, which --n-max 2 never does
+    pytest.param(["selftest", "--seed", "12345"], 0,
+                 "78a6e8a2152f6a7134b2d6a7b6cfd5d7b1398dcc1f77ec3af43476f56e2f91f1",
+                 id="selftest-seed-12345-full"),
 ]
 
 

@@ -19,6 +19,43 @@ from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import upsilon_full_lattice
 
 
+def literal_full_lattice(priors, tm10, tm02):
+    """The raw lattice sum as first written: phi at (k_b, l12) is evaluated
+    again for every k_a, and only where phi at (k_a, l12) is non-zero."""
+    f_a = f_factor(priors.n, priors.tj10, tm10)
+    f_b = f_factor(priors.n, priors.tj02, tm02)
+    k_hi = min(priors.tj10, priors.tj02)
+    total = 0
+    for k_a in range(0, k_hi + 1):
+        for k_b in range(0, k_hi + 1):
+            sign = -1 if (k_b - k_a) % 2 else 1
+            for tl12 in range(-priors.n, priors.n + 1):
+                pa = phi(
+                    QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
+                        priors.tj12, tl12, k_a)
+                )
+                if pa == 0:
+                    continue
+                pb = phi(
+                    QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
+                        priors.tj12, tl12, k_b)
+                )
+                total += sign * pa * pb
+    return f_a * f_b * total
+
+
+def small_priors(n_max=8, tj_max=3):
+    """Every prior with j1, j2 <= tj_max / 2 and n <= n_max."""
+    return [
+        Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
+        for tj1 in range(tj_max + 1)
+        for tj2 in range(tj_max + 1)
+        for tJ in j12_range(tj1, tj2)
+        for tM in range(-tJ, tJ + 1, 2)
+        for n in range(max(1, tj1 + tj2), n_max + 1)
+    ]
+
+
 def qn8(n, j10, j02, m10, m02, j12, l12, k):
     """Doubled-integer shorthand for the worked cases."""
     return QN8(n=n, tj10=j10, tj02=j02, tm10=m10, tm02=m02, tj12=j12, tl12=l12, k=k)
@@ -194,6 +231,14 @@ class TestUpsilon:
             priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
             for tm10, tm02 in allowed_m_pairs(tj1, tj2, tM):
                 assert upsilon(priors, tm10, tm02) == upsilon_full_lattice(
+                    priors, tm10, tm02
+                ), (priors, tm10, tm02)
+
+    def test_full_lattice_oracle_matches_literal_loop(self):
+        # evaluating each lattice point once must not change the raw sum
+        for priors in small_priors():
+            for tm10, tm02 in allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12):
+                assert upsilon_full_lattice(priors, tm10, tm02) == literal_full_lattice(
                     priors, tm10, tm02
                 ), (priors, tm10, tm02)
 

@@ -185,6 +185,61 @@ class TestApplyMap:
         assert apply_map(apply_map(x, m), m) == x
 
 
+class FakeSeq:
+    """Duck-typed stand-in that correlate and apply_map accept but must
+    validate, since nothing vouches for its elements."""
+
+    def __init__(self, bits=None, order=None, symbols=None):
+        self.bits, self.order, self.symbols = bits, order, symbols
+
+    def __len__(self):
+        return len(self.bits if self.bits is not None else self.symbols)
+
+
+def assert_same_as_validated(c):
+    validated = CorrSeq(c.order, c.symbols)
+    assert c == validated
+    assert hash(c) == hash(validated)
+    assert str(c) == str(validated)
+    assert repr(c) == repr(validated)
+    assert all(type(b) is int for sym in c.symbols for b in sym)
+
+
+class TestTrustedResults:
+    """correlate and apply_map skip validating what they build from plain
+    BitSeq/CorrSeq inputs; the results must equal the validated ones."""
+
+    @given(pair=bitseq_pairs)
+    def test_correlate_order_two(self, pair):
+        assert_same_as_validated(correlate(list(pair)))
+
+    def test_correlate_order_three_and_coerced_inputs(self):
+        # BitSeq((True, 1.0)) stores ints, so its columns are valid symbols
+        seqs = [BitSeq((True, 0)), BitSeq((1.0, 1)), bitseq("01")]
+        assert_same_as_validated(correlate(seqs))
+        assert_same_as_validated(correlate(seqs[:2]))
+
+    @given(
+        data=st.lists(st.tuples(bits, bits, bits, bits), min_size=1, max_size=24)
+    )
+    def test_apply_map(self, data):
+        x = CorrSeq(2, tuple((a, b) for a, b, _, _ in data))
+        m = CorrSeq(2, tuple((c, d) for _, _, c, d in data))
+        assert_same_as_validated(apply_map(x, m))
+
+    def test_trusted_constructors_equal_validated(self):
+        assert BitSeq._trusted((1, 0, 1)) == bitseq("101")
+        assert hash(BitSeq._trusted((1, 0, 1))) == hash(bitseq("101"))
+        assert str(BitSeq._trusted((1, 0, 1))) == "101"
+        assert_same_as_validated(CorrSeq._trusted(2, ((1, 0), (0, 0))))
+
+    def test_other_inputs_still_validated(self):
+        with pytest.raises(ValueError, match=SYMBOL_MESSAGE):
+            correlate([bitseq("10"), FakeSeq(bits=(0, 2))])
+        with pytest.raises(ValueError, match=SYMBOL_MESSAGE):
+            apply_map(FakeSeq(order=2, symbols=((0, 2),)), corr4("A"))
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("n,d,expected", [(3, 1, 8), (1, 3, 8), (2, 2, 16)])
     def test_counts(self, n, d, expected):
