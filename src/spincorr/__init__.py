@@ -13,7 +13,7 @@ modules it runs.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cg": ("cg_squared", "convergence_scan", "delta"),
+    "cg": ("cg_squared", "convergence_scan"),
     "errors": (
         "BudgetExceededError",
         "ConstraintError",

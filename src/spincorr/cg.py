@@ -78,17 +78,6 @@ def cg_squared(tj1: int, tj2: int, tm1: int, tm2: int, tJ: int, tM: int) -> Frac
 ConvergenceRow = namedtuple("ConvergenceRow", "n tm10 tm02 p cg2 delta")
 
 
-def delta(priors: Priors) -> List[Tuple[int, int, Fraction]]:
-    """|P - CG^2| per allowed (m10, m02) pair, exact."""
-    rows = []
-    for tm10, tm02, p in probability_table(priors):
-        cg2 = cg_squared(
-            priors.tj10, priors.tj02, tm10, tm02, priors.tj12, priors.tm12
-        )
-        rows.append((tm10, tm02, abs(p - cg2)))
-    return rows
-
-
 def convergence_scan(
     tj1: int, tj2: int, tJ: int, tM: int, n_list: Iterable[int]
 ) -> Tuple[List[ConvergenceRow], List[Tuple[int, str]]]:

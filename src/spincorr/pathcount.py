@@ -7,21 +7,23 @@ sequences.  Everything is big-integer / rational; no floating point enters
 any result.
 
 The count is evaluated in closed form: its sum over l12 is a Chu-Vandermonde
-convolution (Petkovsek, Wilf, Zeilberger, "A=B", chapters 3 and 5), which
-leaves a sum over (k_a, k_b) pairs only; see _weight.  The factor K that
-the closed form splits off holds every n!-sized integer and is the same
-for every (m10, m02) pair of the priors, so probability_table normalizes
-without it and its cost does not grow with n.  selftest.upsilon_full_lattice
-keeps the raw lattice sum as the independent oracle, and the multinomial
-phi it sums lives with the other oracles in quantum_numbers (pathcount.phi
-still resolves to it), so this module does not import quantum_numbers.
+convolution (Petkovsek, Wilf, Zeilberger, "A=B", chapters 3 and 5), and the
+(k_a, k_b) sum it leaves is an integer binomial sum, the classical form of
+the CG coefficient (Varshalovich, Moskalev, Khersonskii 1988, section 8.2);
+see _weight.  The factor it drops holds every n!-sized integer and is the
+same for every (m10, m02) pair of the priors, so probability_table
+normalizes without it and its cost does not grow with n.
+selftest.upsilon_full_lattice keeps the raw lattice sum as the independent
+oracle, and the multinomial phi it sums lives with the other oracles in
+quantum_numbers (pathcount.phi still resolves to it), so this module does
+not import quantum_numbers.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, perm
 from typing import List, Tuple
 
 from .errors import ConstraintError, DegeneratePriorsError, InvalidQuantumNumberError
@@ -97,39 +99,34 @@ def k_bounds(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> Tuple[int
     return k_min, k_max
 
 
-def _weight(priors: Priors, tm10: int, tm02: int) -> Fraction:
-    """Path count of one (m10, m02) outcome divided by the pair-independent
-    K = (n - 2j10)! (n - 2j02)! (2G)! / G!^4, with G = n - j10 - j02 - j12.
+def _weight(priors: Priors, tm10: int, tm02: int) -> int:
+    """Path count of one (m10, m02) outcome, as an integer, divided by the
+    positive, pair-independent K G! / ((G + x)! D^2), where
+    K = (n - 2j10)! (n - 2j02)! (2G)! / G!^4, G = n - j10 - j02 - j12,
+    x = j10 + j02 - j12 and D = x! (2j10 - x)! (2j02 - x)!.
 
     Only the (000) and (111) counts depend on l12, and they sum to G, so
-    the l12 sum of phi_a * phi_b is the Vandermonde convolution
-    n!^2 C(2G, G + s) / (G!^2 P_a P_b), with s = k_b - k_a and P_k the
-    product of the other six count factorials.  The n!^2 cancels against
-    f_a * f_b, which leaves
-    K * c10! d10! c02! d02! * sum over (k_a, k_b) of (-1)^s r(|s|) / (P_a P_b),
-    where r(s) = C(2G, G + s) / C(2G, G) = prod_{i=1..s} (G - i + 1) / (G + i).
+    the l12 sum of phi_a * phi_b is n!^2 C(2G, G + s) / (G!^2 P_a P_b), with
+    s = k_b - k_a and P_k the other six count factorials.  These pair up to
+    x, 2j10 - x and 2j02 - x, so D / P_k is the integer
+    B_k = C(x, k) C(2j10 - x, d10 - k) C(2j02 - x, c02 - k), and
+    C(2G, G + s) (G + x)! / (C(2G, G) G!) is R_s = G!/(G - s)! (G + x)!/(G + s)!.
+    The n!^2 cancels against f_a f_b, so with A_s = sum_i B_i B_(i+s) the
+    weight is c10! d10! c02! d02! sum_s (-1)^s (2 if s else 1) R_s A_s.
     """
     x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
     g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
     c10, d10 = (priors.tj10 + tm10) // 2, (priors.tj10 - tm10) // 2
     c02, d02 = (priors.tj02 + tm02) // 2, (priors.tj02 - tm02) // 2
     k_min, k_max = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
-    f = factorial
-    # the (010, 101, 100, 001, 011, 110) counts at k; all are >= 0 on k_bounds
-    inv_p = {
-        k: Fraction(1, f(k) * f(x - k) * f(k - x + c10) * f(k - x + d02)
-                    * f(d10 - k) * f(c02 - k))
-        for k in range(k_min, k_max + 1)
-    }
-    r = [Fraction(1)]
-    for i in range(1, k_max - k_min + 1):
-        r.append(r[-1] * Fraction(g - i + 1, g + i))
+    b = [comb(x, k) * comb(priors.tj10 - x, d10 - k) * comb(priors.tj02 - x, c02 - k)
+         for k in range(k_min, k_max + 1)]
     total = sum(
-        ((-1) ** abs(b - a) * r[abs(b - a)] * inv_p[a] * inv_p[b]
-         for a in inv_p for b in inv_p),
-        Fraction(0),
+        (-1) ** s * (2 if s else 1) * perm(g, s) * perm(g + x, x - s)
+        * sum(b[i] * b[i + s] for i in range(len(b) - s))
+        for s in range(len(b))
     )
-    return f(c10) * f(d10) * f(c02) * f(d02) * total
+    return factorial(c10) * factorial(d10) * factorial(c02) * factorial(d02) * total
 
 
 def upsilon(priors: Priors, tm10: int, tm02: int) -> Fraction:
@@ -141,18 +138,20 @@ def upsilon(priors: Priors, tm10: int, tm02: int) -> Fraction:
         raise InvalidQuantumNumberError(
             "m10, m02 must lie within their j ranges in integer steps"
         )
+    x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
     g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
-    pair_free = Fraction(  # the K of _weight
+    d = factorial(x) * factorial(priors.tj10 - x) * factorial(priors.tj02 - x)
+    pair_free = Fraction(  # the factor _weight drops
         factorial(priors.n - priors.tj10) * factorial(priors.n - priors.tj02)
         * factorial(2 * g),
-        factorial(g) ** 4,
+        factorial(g) ** 3 * factorial(g + x) * d * d,
     )
     return pair_free * _weight(priors, tm10, tm02)
 
 
-def probability_table(priors: Priors) -> List[Tuple[int, int, Fraction]]:
-    """Normalized probability for every allowed (m10, m02) pair,
-    in descending m10 order; entries sum to exactly 1."""
+def path_weights(priors: Priors) -> List[Tuple[int, int, int]]:
+    """The integer _weight of every allowed (m10, m02) pair, in descending
+    m10 order; a negative weight is logged as a warning."""
     pairs = allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12)
     if not pairs:
         raise DegeneratePriorsError("no (m10, m02) pair is allowed by the priors")
@@ -168,12 +167,21 @@ def probability_table(priors: Priors) -> List[Tuple[int, int, Fraction]]:
                 format_half_integer(tm02),
                 priors,
             )
-        weights.append(w)
-    norm = sum(weights)
+        weights.append((tm10, tm02, w))
+    return weights
+
+
+def normalize(weights: List[Tuple[int, int, int]]) -> List[Tuple[int, int, Fraction]]:
+    """Each row of path_weights divided by their sum, as a Fraction."""
+    norm = sum(w for _, _, w in weights)
     if norm == 0:
         raise DegeneratePriorsError(
             "all path counts vanished; the probability table is undefined"
         )
-    return [
-        (tm10, tm02, w / norm) for (tm10, tm02), w in zip(pairs, weights)
-    ]
+    return [(tm10, tm02, Fraction(w, norm)) for tm10, tm02, w in weights]
+
+
+def probability_table(priors: Priors) -> List[Tuple[int, int, Fraction]]:
+    """Normalized probability for every allowed (m10, m02) pair,
+    in descending m10 order; entries sum to exactly 1."""
+    return normalize(path_weights(priors))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, TextIO, Tuple
 
 from . import brute
-from .pathcount import Priors, _weight, f_factor, probability_table, upsilon
+from .pathcount import Priors, f_factor, normalize, path_weights, upsilon
 from .quantum_numbers import QN8, counts4_from_qn4, phi, qn4_from_counts, qn4_of_corrseq
 from .selection import allowed_m_pairs, check_triangle, j12_range
 from .sequences import BitSeq, correlate
@@ -104,15 +104,15 @@ def check_normalization(n_max: int, tj_max: int) -> List[str]:
     for n, tj1, tj2, tJ, tM in _prior_grid(n_max, tj_max):
         priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
         try:
-            table = probability_table(priors)
+            weights = path_weights(priors)
+            total = sum(p for _, _, p in normalize(weights))
         except ArithmeticError:
             continue  # degenerate priors are reported, not summed
-        total = sum(p for _, _, p in table)
         if total != 1:
             problems.append(f"normalization failed for {priors}: sum = {total}")
-        for tm10, tm02, _ in table:
-            # upsilon is _weight times a positive, pair-independent factor
-            if _weight(priors, tm10, tm02) < 0:
+        for tm10, tm02, w in weights:
+            # upsilon is the weight times a positive, pair-independent factor
+            if w < 0:
                 problems.append(
                     f"negative path count for {priors}, pair ({tm10}, {tm02})"
                 )

@@ -111,3 +111,12 @@ class TestAcceptance:
         assert len(table) == 5
         assert elapsed < 5.0
         report("criterion 8: n=512 probability table under 5 s")
+
+    def test_09_performance_j50(self):
+        start = time.perf_counter()
+        table = probability_table(Priors(n=10**6, tj10=100, tj02=100, tj12=100, tm12=0))
+        elapsed = time.perf_counter() - start
+        assert sum(p for _, _, p in table) == 1
+        assert len(table) == 101
+        assert elapsed < 1.0
+        report("criterion 9: j=50 probability table at n=10^6 under 1 s")

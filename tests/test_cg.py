@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from spincorr.cg import cg_squared, convergence_scan, decimal_string, delta
+from spincorr.cg import cg_squared, convergence_scan, decimal_string
 from spincorr.errors import InvalidQuantumNumberError
-from spincorr.pathcount import Priors
 from spincorr.selection import allowed_m_pairs, j12_range
 
 
@@ -54,17 +53,19 @@ class TestCgSquared:
 
 
 class TestDelta:
+    """The delta column of `convergence_scan`, one length at a time."""
+
     def test_worked_example(self):
-        rows = delta(Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0))
-        assert rows == [
+        rows, _ = convergence_scan(2, 2, 2, 0, [6])
+        assert [(r.tm10, r.tm02, r.delta) for r in rows] == [
             (2, -2, Fraction(1, 34)),
             (0, 0, Fraction(1, 17)),
             (-2, 2, Fraction(1, 34)),
         ]
 
     def test_stretched_is_exact(self):
-        rows = delta(Priors(n=8, tj10=2, tj02=2, tj12=4, tm12=4))
-        assert rows == [(2, 2, Fraction(0))]
+        rows, _ = convergence_scan(2, 2, 4, 4, [8])
+        assert [(r.tm10, r.tm02, r.delta) for r in rows] == [(2, 2, Fraction(0))]
 
 
 class TestConvergenceScan:

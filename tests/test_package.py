@@ -11,7 +11,7 @@ import spincorr
 SRC = str(Path(spincorr.__file__).resolve().parents[1])
 
 EXPORTS = [
-    "cg_squared", "convergence_scan", "delta",
+    "cg_squared", "convergence_scan",
     "BudgetExceededError", "ConstraintError", "DegeneratePriorsError",
     "InvalidQuantumNumberError", "SpincorrError",
     "format_half_integer", "parse_half_integer",
@@ -30,7 +30,7 @@ SUBMODULES = [
 
 
 def test_all_lists_the_exports():
-    assert len(EXPORTS) == 35
+    assert len(EXPORTS) == 34
     assert sorted(spincorr.__all__) == sorted(EXPORTS)
 
 

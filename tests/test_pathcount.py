@@ -1,9 +1,11 @@
+import inspect
 import logging
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from spincorr import pathcount
+from spincorr import pathcount, selftest
 from spincorr.brute import phi_by_enumeration
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
 from spincorr.pathcount import (
@@ -16,7 +18,7 @@ from spincorr.pathcount import (
 )
 from spincorr.quantum_numbers import QN8, counts8_from_qn8
 from spincorr.selection import allowed_m_pairs, j12_range
-from spincorr.selftest import upsilon_full_lattice
+from spincorr.selftest import _prior_grid, check_normalization, upsilon_full_lattice
 
 
 def literal_full_lattice(priors, tm10, tm02):
@@ -42,6 +44,34 @@ def literal_full_lattice(priors, tm10, tm02):
                 )
                 total += sign * pa * pb
     return f_a * f_b * total
+
+
+def rational_weight(priors, tm10, tm02):
+    """The closed form as a sum of Fractions: over the (k_a, k_b) pairs of
+    k_bounds, (-1)^s r(|s|) / (P_a P_b) times c10! d10! c02! d02!, with
+    r(s) = prod_{i=1..s} (G - i + 1) / (G + i) and P_k the six count
+    factorials.  It differs from _weight by a positive, pair-independent
+    factor, so both normalize to the same table."""
+    x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
+    g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
+    c10, d10 = (priors.tj10 + tm10) // 2, (priors.tj10 - tm10) // 2
+    c02, d02 = (priors.tj02 + tm02) // 2, (priors.tj02 - tm02) // 2
+    k_min, k_max = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
+    f = factorial
+    inv_p = {
+        k: Fraction(1, f(k) * f(x - k) * f(k - x + c10) * f(k - x + d02)
+                    * f(d10 - k) * f(c02 - k))
+        for k in range(k_min, k_max + 1)
+    }
+    r = [Fraction(1)]
+    for i in range(1, k_max - k_min + 1):
+        r.append(r[-1] * Fraction(g - i + 1, g + i))
+    total = sum(
+        ((-1) ** abs(b - a) * r[abs(b - a)] * inv_p[a] * inv_p[b]
+         for a in inv_p for b in inv_p),
+        Fraction(0),
+    )
+    return f(c10) * f(d10) * f(c02) * f(d02) * total
 
 
 def small_priors(n_max=8, tj_max=3):
@@ -297,3 +327,53 @@ class TestProbabilityTable:
         table = {(a, b): p for a, b, p in probability_table(priors)}
         for (a, b), p in table.items():
             assert table[(-a, -b)] == p
+
+
+class TestIntegerWeight:
+    def test_matches_rational_reference(self):
+        # every prior with j1, j2 <= 3, at the smallest n, just above it,
+        # and at n where G is large
+        for tj1 in range(7):
+            for tj2 in range(7):
+                for tJ in j12_range(tj1, tj2):
+                    for tM in range(-tJ, tJ + 1, 2):
+                        lo = max(1, tj1 + tj2)
+                        for n in {lo, lo + 1, lo + 3, 17, 100, 10**9}:
+                            priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
+                            pairs = allowed_m_pairs(tj1, tj2, tM)
+                            weights = [rational_weight(priors, a, b) for a, b in pairs]
+                            expected = [
+                                (a, b, w / sum(weights))
+                                for (a, b), w in zip(pairs, weights)
+                            ]
+                            table = probability_table(priors)
+                            assert table == expected, priors
+                            assert all(type(p) is Fraction for _, _, p in table), priors
+
+    def test_weight_is_an_int(self):
+        priors = Priors(n=10**9, tj10=6, tj02=5, tj12=3, tm12=1)
+        for tm10, tm02 in allowed_m_pairs(6, 5, 1):
+            assert type(pathcount._weight(priors, tm10, tm02)) is int
+
+    def test_no_fraction_in_weight(self):
+        assert "Fraction" not in inspect.getsource(pathcount._weight)
+
+    def test_check_normalization_computes_each_weight_once(self, monkeypatch):
+        calls = []
+        weight = pathcount._weight
+
+        def counted(priors, tm10, tm02):
+            calls.append((priors, tm10, tm02))
+            return weight(priors, tm10, tm02)
+
+        # every spincorr namespace that binds _weight
+        for module in (pathcount, selftest):
+            if hasattr(module, "_weight"):
+                monkeypatch.setattr(module, "_weight", counted)
+        assert check_normalization(12, 2) == []
+        expected = [
+            (Priors(*prior), tm10, tm02)
+            for prior in _prior_grid(12, 2)
+            for tm10, tm02 in allowed_m_pairs(*prior[1:3], prior[4])
+        ]
+        assert calls == expected
