@@ -22,7 +22,7 @@ _EXPORTS = {
         "SpincorrError",
     ),
     "halfint": ("format_half_integer", "parse_half_integer"),
-    "pathcount": ("Priors", "f_factor", "k_bounds", "probability_table", "upsilon"),
+    "pathcount": ("Priors", "f_factor", "k_bounds", "probability_table"),
     "quantum_numbers": (
         "QN4",
         "QN8",

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .errors import BudgetExceededError
 from .quantum_numbers import QN8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts
-from .sequences import BitSeq, CorrSeq, apply_map, correlate, enumeration_budget
+from .sequences import DEFAULT_ENUM_BUDGET, BitSeq, CorrSeq, apply_map, correlate
 
 PAIR_FIELDS = {
     "10": ("tj10", "tm10", "tg10", "tl10"),
@@ -24,15 +24,14 @@ PAIR_FIELDS = {
 }
 
 
-def _check_budget(total: int, budget: Optional[int]) -> None:
-    limit = enumeration_budget() if budget is None else budget
-    if total > limit:
+def _check_budget(total: int, budget: int) -> None:
+    if total > budget:
         raise BudgetExceededError(
-            f"enumerating {total} items exceeds the budget of {limit}"
+            f"enumerating {total} items exceeds the budget of {budget}"
         )
 
 
-def enumerate_base8_counts(n: int, budget: Optional[int] = None) -> Dict[tuple, int]:
+def enumerate_base8_counts(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> Dict[tuple, int]:
     """Bin all 8^n order-3 sequences by their count vector.
 
     Keys are 8-tuples of counts in lexicographic symbol order.  Every
@@ -61,7 +60,7 @@ def counts_key_to_qn8(key: tuple) -> QN8:
     return qn8_from_counts(counts)
 
 
-def phi_by_enumeration(q: QN8, budget: Optional[int] = None) -> int:
+def phi_by_enumeration(q: QN8, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Count order-3 sequences whose measured quantum numbers equal q."""
     if counts8_from_qn8(q) is None:
         return 0
@@ -76,7 +75,7 @@ def phi_by_enumeration(q: QN8, budget: Optional[int] = None) -> int:
 
 
 def witness_triples(
-    n: int, budget: Optional[int] = None, **constraints: int
+    n: int, budget: int = DEFAULT_ENUM_BUDGET, **constraints: int
 ) -> Iterator[Tuple[BitSeq, BitSeq, BitSeq]]:
     """All (s1, s0, s2) triples whose pairwise quantum numbers match the
     given doubled-integer constraints (e.g. tj10=2, tm02=-1, tj12=3).

@@ -1,8 +1,7 @@
 """Command-line frontend with deterministic CSV/JSON output.
 
 Exit codes: 0 success, 1 selftest failure, 2 malformed input, 3 semantic
-constraint violation.  Results go to stdout, diagnostics to stderr.  The
-enumeration budget honours the SPINCORR_ENUM_BUDGET environment variable.
+constraint violation.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -139,13 +138,8 @@ def cmd_converge(args) -> int:
 def cmd_selftest(args) -> int:
     # imported here: only selftest loads the oracles and sequence modules
     from .selftest import run_selftest
-    from .sequences import ENUM_BUDGET_ENV, enumeration_budget
 
-    try:
-        enumeration_budget()
-    except ValueError as exc:
-        return _fail(EXIT_MALFORMED, f"{ENUM_BUDGET_ENV}: {exc}")
-    ok = run_selftest(seed=args.seed, enum_n_max=args.n_max or 6, triple_n_max=args.n_max or 64)
+    ok = run_selftest(seed=args.seed, n_max=args.n_max)
     return EXIT_OK if ok else EXIT_SELFTEST
 
 

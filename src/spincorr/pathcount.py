@@ -12,11 +12,11 @@ convolution (Petkovsek, Wilf, Zeilberger, "A=B", chapters 3 and 5), and the
 the CG coefficient (Varshalovich, Moskalev, Khersonskii 1988, section 8.2);
 see _weight.  The factor it drops holds every n!-sized integer and is the
 same for every (m10, m02) pair of the priors, so probability_table
-normalizes without it and its cost does not grow with n.
+normalizes without it, never builds it, and its cost does not grow with n.
 selftest.upsilon_full_lattice keeps the raw lattice sum as the independent
-oracle, and the multinomial phi it sums lives with the other oracles in
-quantum_numbers (pathcount.phi still resolves to it), so this module does
-not import quantum_numbers.
+oracle, and the selftest compares probability_table with it, normalized, row
+by row.  The multinomial phi it sums lives in quantum_numbers (pathcount.phi
+still resolves to it), so this module does not import quantum_numbers.
 """
 
 from __future__ import annotations
@@ -127,26 +127,6 @@ def _weight(priors: Priors, tm10: int, tm02: int) -> int:
         for s in range(len(b))
     )
     return factorial(c10) * factorial(d10) * factorial(c02) * factorial(d02) * total
-
-
-def upsilon(priors: Priors, tm10: int, tm02: int) -> Fraction:
-    """Signed, interference-weighted path count for one (m10, m02) outcome."""
-    if tm10 + tm02 != priors.tm12:
-        raise InvalidQuantumNumberError("m10 + m02 must equal the prior m12")
-    # m02's parity follows from m10's, given the priors' m12
-    if abs(tm10) > priors.tj10 or abs(tm02) > priors.tj02 or (priors.tj10 + tm10) % 2:
-        raise InvalidQuantumNumberError(
-            "m10, m02 must lie within their j ranges in integer steps"
-        )
-    x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
-    g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
-    d = factorial(x) * factorial(priors.tj10 - x) * factorial(priors.tj02 - x)
-    pair_free = Fraction(  # the factor _weight drops
-        factorial(priors.n - priors.tj10) * factorial(priors.n - priors.tj02)
-        * factorial(2 * g),
-        factorial(g) ** 3 * factorial(g + x) * d * d,
-    )
-    return pair_free * _weight(priors, tm10, tm02)
 
 
 def path_weights(priors: Priors) -> List[Tuple[int, int, int]]:

@@ -13,6 +13,7 @@ count, is a plain integer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -20,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import InvalidQuantumNumberError
 from .halfint import format_half_integer
-from .sequences import CorrSeq, count_symbols
+from .sequences import CorrSeq
 
 Counts4 = Dict[Tuple[int, int], int]
 Counts8 = Dict[Tuple[int, int, int], int]
@@ -153,7 +154,7 @@ def counts4_from_qn4(q: QN4) -> Counts4:
 def qn4_of_corrseq(c: CorrSeq) -> QN4:
     if c.order != 2:
         raise ValueError("base-4 quantum numbers need an order-2 sequence")
-    return qn4_from_counts(count_symbols(c))
+    return qn4_from_counts(Counter(c.symbols))
 
 
 def qn8_from_counts(c: Counts8) -> QN8:
@@ -213,7 +214,7 @@ def phi(q: QN8) -> int:
 def qn8_of_corrseq(c: CorrSeq) -> QN8:
     if c.order != 3:
         raise ValueError("base-8 quantum numbers need an order-3 sequence")
-    return qn8_from_counts(count_symbols(c))
+    return qn8_from_counts(Counter(c.symbols))
 
 
 def pair_counts4(c8: Counts8, pair: str) -> Counts4:

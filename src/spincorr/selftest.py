@@ -8,12 +8,12 @@ pass/fail line.  The random seed is printed so failures reproduce.
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
-from typing import Callable, List, Optional, TextIO, Tuple
+from itertools import zip_longest
+from typing import Callable, List, Optional, Tuple
 
 from . import brute
-from .pathcount import Priors, f_factor, normalize, path_weights, upsilon
+from .pathcount import Priors, f_factor, normalize, path_weights, probability_table
 from .quantum_numbers import QN8, counts4_from_qn4, phi, qn4_from_counts, qn4_of_corrseq
 from .selection import allowed_m_pairs, check_triangle, j12_range
 from .sequences import BitSeq, correlate
@@ -111,7 +111,8 @@ def check_normalization(n_max: int, tj_max: int) -> List[str]:
         if total != 1:
             problems.append(f"normalization failed for {priors}: sum = {total}")
         for tm10, tm02, w in weights:
-            # upsilon is the weight times a positive, pair-independent factor
+            # the path count is the weight times a positive factor shared by
+            # every pair, so the two have the same sign
             if w < 0:
                 problems.append(
                     f"negative path count for {priors}, pair ({tm10}, {tm02})"
@@ -147,16 +148,20 @@ def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
 
 
 def check_bounds_equivalence(n_max: int, tj_max: int) -> List[str]:
-    """The closed-form upsilon equals the raw lattice sum."""
+    """probability_table, the closed form the CLI prints, equals the raw
+    lattice sum of every allowed pair divided by their sum, row by row."""
     problems = []
     for n, tj1, tj2, tJ, tM in _prior_grid(n_max, tj_max):
         priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
-        for tm10, tm02 in allowed_m_pairs(tj1, tj2, tM):
-            fast = upsilon(priors, tm10, tm02)
-            slow = upsilon_full_lattice(priors, tm10, tm02)
-            if fast != slow:
+        pairs = allowed_m_pairs(tj1, tj2, tM)
+        lattice = [upsilon_full_lattice(priors, tm10, tm02) for tm10, tm02 in pairs]
+        norm = sum(lattice)
+        slow = [(tm10, tm02, w / norm) for (tm10, tm02), w in zip(pairs, lattice)]
+        rows = zip_longest(probability_table(priors), slow, fillvalue=(None, None, None))
+        for fast, (tm10, tm02, p) in rows:
+            if fast != (tm10, tm02, p):
                 problems.append(
-                    f"closed form {fast} != lattice sum {slow} for {priors}, "
+                    f"closed form {fast[2]} != lattice sum {p} for {priors}, "
                     f"pair ({tm10}, {tm02})"
                 )
     return problems
@@ -164,16 +169,16 @@ def check_bounds_equivalence(n_max: int, tj_max: int) -> List[str]:
 
 def run_selftest(
     seed: int = 0,
-    enum_n_max: int = 6,
-    triple_n_max: int = 64,
-    trials: int = 1000,
+    n_max: Optional[int] = None,
     phi_fn: Optional[Callable[[QN8], int]] = None,
-    out: Optional[TextIO] = None,
 ) -> bool:
-    """Run every check; print one line per check plus the seed."""
-    out = out if out is not None else sys.stdout
+    """Run every check; print one line per check plus the seed.
+
+    n_max caps the enumeration (6 if None) and the sampling (64 if None).
+    """
     rng = random.Random(seed)
     phi_fn = phi_fn or phi
+    enum_n_max, triple_n_max = n_max or 6, n_max or 64
     triple_ns = [n for n in (4, 16, 64) if n <= triple_n_max] or [max(2, triple_n_max)]
     map_n = min(32, triple_n_max)
     norm_n = min(12, max(2, enum_n_max * 2))
@@ -185,26 +190,26 @@ def run_selftest(
         ),
         (
             "random-triple selection rules",
-            lambda: check_random_triples(triple_ns, trials, rng),
+            lambda: check_random_triples(triple_ns, 1000, rng),
         ),
-        ("count/quantum-number round trips", lambda: check_roundtrips(trials, rng)),
+        ("count/quantum-number round trips", lambda: check_roundtrips(1000, rng)),
         (
             "permutation map conservation",
-            lambda: check_permutation_maps(map_n, min(trials, 200), rng),
+            lambda: check_permutation_maps(map_n, 200, rng),
         ),
         ("exact normalization", lambda: check_normalization(norm_n, 2)),
         ("summation bounds equivalence", lambda: check_bounds_equivalence(min(norm_n, 8), 2)),
     ]
 
-    print(f"seed: {seed}", file=out)
+    print(f"seed: {seed}")
     all_ok = True
     for name, fn in checks:
         problems = fn()
         status = "PASS" if not problems else "FAIL"
         all_ok &= not problems
-        print(f"{status} {name}", file=out)
+        print(f"{status} {name}")
         for p in problems[:5]:
-            print(f"  {p}", file=out)
+            print(f"  {p}")
         if len(problems) > 5:
-            print(f"  ... {len(problems) - 5} more", file=out)
+            print(f"  ... {len(problems) - 5} more")
     return all_ok

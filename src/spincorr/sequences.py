@@ -9,7 +9,6 @@ element-wise addition modulo two and are involutions.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Dict, Iterator, Sequence, Tuple
@@ -19,25 +18,9 @@ from .errors import BudgetExceededError
 Symbol = Tuple[int, ...]
 
 DEFAULT_ENUM_BUDGET = 1 << 24
-ENUM_BUDGET_ENV = "SPINCORR_ENUM_BUDGET"
 
 ALIAS_OF_PAIR = {(0, 0): "A", (1, 1): "B", (1, 0): "C", (0, 1): "D"}
 PAIR_OF_ALIAS = {v: k for k, v in ALIAS_OF_PAIR.items()}
-
-
-def enumeration_budget() -> int:
-    """Current enumeration budget; overridable via SPINCORR_ENUM_BUDGET.
-
-    The budget counts sequences covered; a value below 1 would refuse every
-    enumeration, so it is rejected like a non-integer.
-    """
-    raw = os.environ.get(ENUM_BUDGET_ENV)
-    if not raw:
-        return DEFAULT_ENUM_BUDGET
-    budget = int(raw)
-    if budget < 1:
-        raise ValueError(f"expected an integer >= 1, got {raw!r}")
-    return budget
 
 
 def _distinct(items: Sequence) -> Collection:
@@ -131,10 +114,6 @@ class CorrSeq:
     def __str__(self) -> str:
         return render(self)
 
-    def column(self, i: int) -> BitSeq:
-        """The i-th underlying bit sequence."""
-        return BitSeq(tuple(sym[i] for sym in self.symbols))
-
 
 def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
     """Glue d >= 2 equal-length bit sequences column-wise.
@@ -180,10 +159,10 @@ def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:
     return CorrSeq(order=initial.order, symbols=symbols)
 
 
-def enumerate_sequences(n: int, d: int, budget: int | None = None) -> Iterator[CorrSeq]:
+def enumerate_sequences(
+    n: int, d: int, budget: int = DEFAULT_ENUM_BUDGET
+) -> Iterator[CorrSeq]:
     """All 2^(d*n) order-d sequences of length n, in lexicographic order."""
-    if budget is None:
-        budget = enumeration_budget()
     total = 1 << (d * n)
     if total > budget:
         raise BudgetExceededError(

@@ -178,12 +178,33 @@ class TestSelftest:
     def test_corrupted_phi_fails(self, capsys):
         from spincorr.selftest import run_selftest
 
-        ok = run_selftest(seed=1, enum_n_max=2, triple_n_max=2,
-                          phi_fn=lambda q: 0)
+        ok = run_selftest(seed=1, n_max=2, phi_fn=lambda q: 0)
         captured = capsys.readouterr()
         assert not ok
         assert "FAIL phi_by_enumeration equivalence" in captured.out
         assert "phi_by_enumeration mismatch" in captured.out
+
+    def test_misassigned_probabilities_fail(self, capsys, monkeypatch):
+        """A table that hands each probability to the wrong row still sums
+        to 1 with no negative count; only the lattice comparison sees it."""
+        from spincorr import pathcount
+        from spincorr.selftest import run_selftest
+
+        normalize = pathcount.normalize
+
+        def rotated(weights):
+            rows = normalize(weights)
+            probs = [p for _, _, p in rows]
+            return [(tm10, tm02, p)
+                    for (tm10, tm02, _), p in zip(rows, probs[1:] + probs[:1])]
+
+        monkeypatch.setattr(pathcount, "normalize", rotated)
+        ok = run_selftest(seed=0, n_max=2)
+        out = capsys.readouterr().out
+        assert not ok
+        assert "PASS exact normalization" in out
+        assert "FAIL summation bounds equivalence" in out
+        assert "closed form 1/3 != lattice sum 2/3 for Priors(" in out
 
     def test_random_triples_draw_stream_pinned(self):
         """A printed seed must sample the same triples in every version:
@@ -341,57 +362,51 @@ def test_golden_stdout(argv, code, digest):
 SPINS_1_1_1_0 = ["--j1", "1", "--j2", "1", "--J", "1", "--M", "0"]
 HALF_SPINS_NEG_M = ["--j1", "1/2", "--j2", "1", "--J", "1/2", "--M", "-1/2"]
 
-# argv, environment, exit code, stderr fragment, run in a subprocess (for
+# argv, exit code, stderr fragment, run in a subprocess (for
 # requests that once never returned).  Every request that succeeds asks for
 # JSON, which must validate against the schema.
 REGRESSIONS = [
     pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "2", "--n-max", "8",
-                  "--step", "0"], {}, 2, "--step", True, id="converge-step-0"),
+                  "--step", "0"], 2, "--step", True, id="converge-step-0"),
     pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "2", "--n-max", "8",
-                  "--step", "-1"], {}, 2, "--step", True, id="converge-step-negative"),
+                  "--step", "-1"], 2, "--step", True, id="converge-step-negative"),
     pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "0", "--n-max", "8",
-                  "--geometric"], {}, 2, "--n-start", True, id="converge-geometric-n-start-0"),
+                  "--geometric"], 2, "--n-start", True, id="converge-geometric-n-start-0"),
     pytest.param(["prob", "--n", "6", "--j1", "-1", "--j2", "1", "--J", "1", "--M", "0"],
-                 {}, 2, "triangle", False, id="prob-negative-j"),
+                 2, "triangle", False, id="prob-negative-j"),
     pytest.param(["prob", "--n", "6", "--j1", "1", "--j2", "1", "--J", "3", "--M", "0"],
-                 {}, 2, "triangle", False, id="prob-triangle"),
+                 2, "triangle", False, id="prob-triangle"),
     pytest.param(["cg", "--j1", "-1", "--j2", "1", "--J", "1", "--M", "0"],
-                 {}, 2, "triangle", False, id="cg-negative-j"),
+                 2, "triangle", False, id="cg-negative-j"),
     pytest.param(["converge", "--j1", "1", "--j2", "1", "--J", "3", "--M", "0",
-                  "--n-start", "2", "--n-max", "8"], {}, 2, "triangle", False,
+                  "--n-start", "2", "--n-max", "8"], 2, "triangle", False,
                  id="converge-triangle"),
     pytest.param(["converge", "--j1", "1", "--j2", "1", "--J", "1", "--M", "2",
-                  "--n-start", "2", "--n-max", "8"], {}, 2, "M must satisfy", False,
+                  "--n-start", "2", "--n-max", "8"], 2, "M must satisfy", False,
                  id="converge-m-range"),
-    pytest.param(["prob", "--n", "0", *SPINS_1_1_1_0], {}, 2, "--n", False, id="prob-n-0"),
-    pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0, "--digits", "0"], {}, 2, "--digits",
+    pytest.param(["prob", "--n", "0", *SPINS_1_1_1_0], 2, "--n", False, id="prob-n-0"),
+    pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0, "--digits", "0"], 2, "--digits",
                  False, id="prob-digits-0"),
-    pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0, "--digits", "-2"], {}, 2, "--digits",
+    pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0, "--digits", "-2"], 2, "--digits",
                  False, id="prob-digits-negative"),
-    pytest.param(["cg", *SPINS_1_1_1_0, "--digits", "x"], {}, 2, "--digits", False,
+    pytest.param(["cg", *SPINS_1_1_1_0, "--digits", "x"], 2, "--digits", False,
                  id="cg-digits-not-integer"),
-    pytest.param(["selftest", "--n-max", "0"], {}, 2, "--n-max", False, id="selftest-n-max-0"),
-    pytest.param(["selftest", "--n-max", "2"], {"SPINCORR_ENUM_BUDGET": "abc"}, 2,
-                 "SPINCORR_ENUM_BUDGET", False, id="selftest-malformed-budget"),
-    pytest.param(["selftest", "--n-max", "2"], {"SPINCORR_ENUM_BUDGET": "0"}, 2,
-                 "SPINCORR_ENUM_BUDGET", False, id="selftest-zero-budget"),
-    pytest.param(["selftest", "--n-max", "2"], {"SPINCORR_ENUM_BUDGET": "-5"}, 2,
-                 "SPINCORR_ENUM_BUDGET", False, id="selftest-negative-budget"),
-    pytest.param(["cg", *HALF_SPINS_NEG_M, "--format", "json"], {}, 0, "", False,
+    pytest.param(["selftest", "--n-max", "0"], 2, "--n-max", False, id="selftest-n-max-0"),
+    pytest.param(["cg", *HALF_SPINS_NEG_M, "--format", "json"], 0, "", False,
                  id="cg-negative-half-integer"),
-    pytest.param(["prob", "--n", "4", *HALF_SPINS_NEG_M, "--format", "json"], {}, 0, "",
+    pytest.param(["prob", "--n", "4", *HALF_SPINS_NEG_M, "--format", "json"], 0, "",
                  False, id="prob-negative-half-integer"),
     pytest.param(["converge", *HALF_SPINS_NEG_M, "--n-start", "4", "--n-max", "8",
-                  "--format", "json"], {}, 0, "", False, id="converge-negative-half-integer"),
+                  "--format", "json"], 0, "", False, id="converge-negative-half-integer"),
     pytest.param(["prob", "--n", "64", "--j1", "6", "--j2", "6", "--J", "12", "--M", "0",
-                  "--digits", "10", "--format", "json"], {}, 0, "", False,
+                  "--digits", "10", "--format", "json"], 0, "", False,
                  id="prob-tiny-probability-fixed-point"),
-    pytest.param(["cg", *SPINS_1_1_1_0, "--digits", "7", "--format", "json"], {}, 0, "",
+    pytest.param(["cg", *SPINS_1_1_1_0, "--digits", "7", "--format", "json"], 0, "",
                  False, id="cg-zero-fixed-point"),
     pytest.param(["prob", "--n", "1000000", "--j1", "2", "--j2", "2", "--J", "2", "--M", "0",
-                  "--format", "json"], {}, 0, "", True, id="prob-n-one-million"),
+                  "--format", "json"], 0, "", True, id="prob-n-one-million"),
     pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "4", "--n-max", "1048576",
-                  "--geometric", "--format", "json"], {}, 0, "", True,
+                  "--geometric", "--format", "json"], 0, "", True,
                  id="converge-geometric-to-2-pow-20"),
 ]
 
@@ -408,17 +423,15 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv, env, code, fragment, isolated", REGRESSIONS)
-def test_regression(argv, env, code, fragment, isolated, monkeypatch):
+@pytest.mark.parametrize("argv, code, fragment, isolated", REGRESSIONS)
+def test_regression(argv, code, fragment, isolated):
     if isolated:
         done = subprocess.run(
             [sys.executable, "-m", "spincorr.cli", *argv], capture_output=True, text=True,
-            timeout=10, env={**os.environ, **env, "PYTHONPATH": SRC},
+            timeout=10, env={**os.environ, "PYTHONPATH": SRC},
         )
         got, out, err = done.returncode, done.stdout, done.stderr
     else:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
         got, out, err = invoke(argv)
     assert got == code
     assert fragment in err

@@ -15,7 +15,7 @@ EXPORTS = [
     "BudgetExceededError", "ConstraintError", "DegeneratePriorsError",
     "InvalidQuantumNumberError", "SpincorrError",
     "format_half_integer", "parse_half_integer",
-    "Priors", "f_factor", "k_bounds", "phi", "probability_table", "upsilon",
+    "Priors", "f_factor", "k_bounds", "phi", "probability_table",
     "QN4", "QN8", "counts4_from_qn4", "counts8_from_qn8", "qn4_from_counts",
     "qn4_of_corrseq", "qn8_from_counts", "qn8_of_corrseq",
     "allowed_m_pairs", "check_triangle", "g12_range", "j12_bounds_constrained",
@@ -30,7 +30,7 @@ SUBMODULES = [
 
 
 def test_all_lists_the_exports():
-    assert len(EXPORTS) == 34
+    assert len(EXPORTS) == 33
     assert sorted(spincorr.__all__) == sorted(EXPORTS)
 
 

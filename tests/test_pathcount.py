@@ -14,7 +14,6 @@ from spincorr.pathcount import (
     k_bounds,
     phi,
     probability_table,
-    upsilon,
 )
 from spincorr.quantum_numbers import QN8, counts8_from_qn8
 from spincorr.selection import allowed_m_pairs, j12_range
@@ -231,15 +230,9 @@ class TestUpsilon:
         return Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)
 
     def test_worked_values(self, priors):
-        assert upsilon(priors, 2, -2) == 1280
-        assert upsilon(priors, 0, 0) == 160
-        assert upsilon(priors, -2, 2) == 1280
-
-    def test_rejects_bad_pair(self, priors):
-        with pytest.raises(InvalidQuantumNumberError):
-            upsilon(priors, 2, 2)
-        with pytest.raises(InvalidQuantumNumberError):
-            upsilon(priors, 1, -1)
+        assert upsilon_full_lattice(priors, 2, -2) == 1280
+        assert upsilon_full_lattice(priors, 0, 0) == 160
+        assert upsilon_full_lattice(priors, -2, 2) == 1280
 
     def test_matches_full_lattice_sum(self):
         # every prior with j1, j2 <= 3/2 up to n = 8, plus j <= 1 at n = 33
@@ -259,10 +252,11 @@ class TestUpsilon:
         ]
         for n, tj1, tj2, tJ, tM in grid:
             priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
-            for tm10, tm02 in allowed_m_pairs(tj1, tj2, tM):
-                assert upsilon(priors, tm10, tm02) == upsilon_full_lattice(
-                    priors, tm10, tm02
-                ), (priors, tm10, tm02)
+            pairs = allowed_m_pairs(tj1, tj2, tM)
+            lattice = [upsilon_full_lattice(priors, tm10, tm02) for tm10, tm02 in pairs]
+            assert probability_table(priors) == [
+                (tm10, tm02, w / sum(lattice)) for (tm10, tm02), w in zip(pairs, lattice)
+            ], priors
 
     def test_full_lattice_oracle_matches_literal_loop(self):
         # evaluating each lattice point once must not change the raw sum

@@ -9,7 +9,6 @@ from spincorr.sequences import (
     correlate,
     count_symbols,
     enumerate_sequences,
-    enumeration_budget,
     parse,
     render,
 )
@@ -261,21 +260,9 @@ class TestEnumerate:
         with pytest.raises(BudgetExceededError, match="budget"):
             next(enumerate_sequences(30, 1, budget=1000))
 
-    @pytest.mark.parametrize("raw", ["0", "-5"])
-    def test_budget_env_below_one_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("SPINCORR_ENUM_BUDGET", raw)
-        with pytest.raises(ValueError, match="integer >= 1"):
-            enumeration_budget()
-
     def test_explicit_budget_keeps_its_meaning(self):
         with pytest.raises(BudgetExceededError):
             next(enumerate_sequences(1, 1, budget=0))
-
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("SPINCORR_ENUM_BUDGET", "4")
-        with pytest.raises(BudgetExceededError):
-            next(enumerate_sequences(3, 1))
-        assert len(list(enumerate_sequences(2, 1))) == 4
 
 
 class TestTextForms:
