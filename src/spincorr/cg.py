@@ -2,8 +2,10 @@
 
 The closed-form (Racah) expression is evaluated without floating point:
 after squaring, every square root collapses to a rational, and the
-alternating z-sum shares one z-independent radicand, so cg_squared is the
-product of an exact rational prefactor with the square of a rational sum.
+alternating z-sum shares one z-independent radicand, so cg_squared is an
+exact rational prefactor times the square of the z-sum.  The z-sum is
+taken in integers over one common denominator, and one Fraction is built
+at the end.
 Only squares are exposed; sign conventions never enter.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import Iterable, List, Tuple
 
 from .errors import InvalidQuantumNumberError
@@ -43,36 +45,44 @@ def cg_squared(tj1: int, tj2: int, tm1: int, tm2: int, tJ: int, tM: int) -> Frac
     # all of these are integers once the triangle (with integer perimeter)
     # and m-sum rules hold
     f = factorial
-    pre = Fraction(
+    a = (tj1 + tj2 - tJ) // 2
+    b = (tj1 - tm1) // 2
+    c = (tj2 + tm2) // 2
+    d = (tJ - tj2 + tm1) // 2
+    e = (tJ - tj1 - tm2) // 2
+    # the prefactor times the radicand, over f((tj1 + tj2 + tJ) // 2 + 1)
+    pre = (
         (tJ + 1)
-        * f((tj1 + tj2 - tJ) // 2)
+        * f(a)
         * f((tJ + tj1 - tj2) // 2)
-        * f((tJ + tj2 - tj1) // 2),
-        f((tj1 + tj2 + tJ) // 2 + 1),
-    )
-    radicand = (
-        f((tj1 + tm1) // 2)
-        * f((tj1 - tm1) // 2)
-        * f((tj2 + tm2) // 2)
+        * f((tJ + tj2 - tj1) // 2)
+        * f((tj1 + tm1) // 2)
+        * f(b)
+        * f(c)
         * f((tj2 - tm2) // 2)
         * f((tJ + tM) // 2)
         * f((tJ - tM) // 2)
     )
 
-    z_lo = max(0, -(tJ - tj2 + tm1) // 2, -(tJ - tj1 - tm2) // 2)
-    z_hi = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    zsum = Fraction(0)
+    # term z is (-1)^z / (z! (a-z)! (b-z)! (c-z)! (d+z)! (e+z)!); over the
+    # common denominator z_hi! (a-z_lo)! (b-z_lo)! (c-z_lo)! (d+z_hi)!
+    # (e+z_hi)! its numerator is the integer product of falling factorials
+    z_lo = max(0, -d, -e)
+    z_hi = min(a, b, c)
+    common = f(z_hi) * f(a - z_lo) * f(b - z_lo) * f(c - z_lo) * f(d + z_hi) * f(e + z_hi)
+    zsum = 0
     for z in range(z_lo, z_hi + 1):
-        denom = (
-            f(z)
-            * f((tj1 + tj2 - tJ) // 2 - z)
-            * f((tj1 - tm1) // 2 - z)
-            * f((tj2 + tm2) // 2 - z)
-            * f((tJ - tj2 + tm1) // 2 + z)
-            * f((tJ - tj1 - tm2) // 2 + z)
+        up, down = z - z_lo, z_hi - z
+        term = (
+            perm(z_hi, down)
+            * perm(a - z_lo, up)
+            * perm(b - z_lo, up)
+            * perm(c - z_lo, up)
+            * perm(d + z_hi, down)
+            * perm(e + z_hi, down)
         )
-        zsum += Fraction(-1 if z % 2 else 1, denom)
-    return pre * radicand * zsum * zsum
+        zsum += -term if z % 2 else term
+    return Fraction(pre * zsum * zsum, f((tj1 + tj2 + tJ) // 2 + 1) * common * common)
 
 
 ConvergenceRow = namedtuple("ConvergenceRow", "n tm10 tm02 p cg2 delta")

@@ -12,12 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .cg import cg_squared, convergence_scan, decimal_string
-from .errors import (
-    BudgetExceededError,
-    ConstraintError,
-    DegeneratePriorsError,
-    InvalidQuantumNumberError,
-)
+from .errors import ConstraintError, DegeneratePriorsError, InvalidQuantumNumberError
 from .halfint import format_half_integer, parse_half_integer
 from .pathcount import Priors, probability_table
 from .selection import allowed_m_pairs, check_triangle
@@ -230,7 +225,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvalidQuantumNumberError as exc:
         return _fail(EXIT_MALFORMED, str(exc))
-    except (ConstraintError, DegeneratePriorsError, BudgetExceededError) as exc:
+    except (ConstraintError, DegeneratePriorsError) as exc:
         return _fail(EXIT_CONSTRAINT, str(exc))
 
 

@@ -154,7 +154,8 @@ def counts4_from_qn4(q: QN4) -> Counts4:
 def qn4_of_corrseq(c: CorrSeq) -> QN4:
     if c.order != 2:
         raise ValueError("base-4 quantum numbers need an order-2 sequence")
-    return qn4_from_counts(Counter(c.symbols))
+    s = c.symbols
+    return qn4_from_counts({A: s.count(A), B: s.count(B), C: s.count(C), D: s.count(D)})
 
 
 def qn8_from_counts(c: Counts8) -> QN8:

@@ -7,7 +7,11 @@ pass/fail line.  The random seed is printed so failures reproduce.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, List, Optional, Tuple
@@ -41,10 +45,11 @@ def check_random_triples(n_values: List[int], trials: int, rng: random.Random) -
     """Relations between the three pairwise measurements of random triples."""
     problems = []
     for n in n_values:
-        for _ in range(trials):
-            # the n bits of s1, then of s0, then of s2, in one draw
-            bits = brute.random_bits(rng, 3 * n)
-            s1, s0, s2 = (BitSeq._trusted(bits[i : i + n]) for i in (0, n, 2 * n))
+        # every trial's n bits of s1, then of s0, then of s2, in one draw:
+        # the same stream as one 3n-bit draw per trial
+        bits = brute.random_bits(rng, 3 * n * trials)
+        for t in range(0, 3 * n * trials, 3 * n):
+            s1, s0, s2 = (BitSeq._trusted(bits[i : i + n]) for i in (t, t + n, t + 2 * n))
             q10 = qn4_of_corrseq(correlate([s1, s0]))
             q02 = qn4_of_corrseq(correlate([s0, s2]))
             q12 = qn4_of_corrseq(correlate([s1, s2]))
@@ -167,14 +172,70 @@ def check_bounds_equivalence(n_max: int, tj_max: int) -> List[str]:
     return problems
 
 
+Check = Tuple[str, Callable[[], List[str]]]
+# a check's name, its problems and its time in milliseconds
+Result = Tuple[str, List[str], float]
+
+
+def _run_timed(checks: List[Check]) -> List[Result]:
+    results = []
+    for name, fn in checks:
+        start = time.perf_counter()
+        problems = fn()
+        results.append((name, problems, (time.perf_counter() - start) * 1e3))
+    return results
+
+
+def _run_beside(forked: List[Check], here: List[Check]) -> List[Result]:
+    """The results of `here`, run in this process, and of `forked`, run at
+    the same time in a forked child where os.fork exists.
+
+    The child sends its results back through a pipe and leaves only through
+    os._exit, so it never returns into the caller or flushes the caller's
+    buffers.  If it fails or sends nothing, `forked` runs here as well, and
+    an exception it raises reaches the caller as usual.
+    """
+    if not hasattr(os, "fork"):
+        return _run_timed(here) + _run_timed(forked)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(_run_timed(forked)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        results = _run_timed(here)
+    finally:
+        # read to the end before reaping, whether or not `here` raised
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0 or not data:
+        return results + _run_timed(forked)
+    return results + marshal.loads(data)
+
+
 def run_selftest(
     seed: int = 0,
     n_max: Optional[int] = None,
     phi_fn: Optional[Callable[[QN8], int]] = None,
 ) -> bool:
-    """Run every check; print one line per check plus the seed.
+    """Run every check; print the seed and one line per check to stdout,
+    then each check's time to stderr.
 
     n_max caps the enumeration (6 if None) and the sampling (64 if None).
+    The seeded checks draw from one random.Random(seed) in a fixed order.
+    The three seed-free checks take no rng, so where os.fork exists they
+    run in a forked child at the same time, which leaves the draw stream
+    and stdout as they are.  Nothing is printed before every check is done.
     """
     rng = random.Random(seed)
     phi_fn = phi_fn or phi
@@ -183,28 +244,42 @@ def run_selftest(
     map_n = min(32, triple_n_max)
     norm_n = min(12, max(2, enum_n_max * 2))
 
-    checks: List[Tuple[str, Callable[[], List[str]]]] = [
+    # (name, draws from rng, check) in print order; the checks that draw
+    # run here in this order, the others beside them
+    checks: List[Tuple[str, bool, Callable[[], List[str]]]] = [
         (
             "phi_by_enumeration equivalence",
+            False,
             lambda: check_phi_equivalence(min(enum_n_max, 6), phi_fn),
         ),
         (
             "random-triple selection rules",
+            True,
             lambda: check_random_triples(triple_ns, 1000, rng),
         ),
-        ("count/quantum-number round trips", lambda: check_roundtrips(1000, rng)),
+        ("count/quantum-number round trips", True, lambda: check_roundtrips(1000, rng)),
         (
             "permutation map conservation",
+            True,
             lambda: check_permutation_maps(map_n, 200, rng),
         ),
-        ("exact normalization", lambda: check_normalization(norm_n, 2)),
-        ("summation bounds equivalence", lambda: check_bounds_equivalence(min(norm_n, 8), 2)),
+        ("exact normalization", False, lambda: check_normalization(norm_n, 2)),
+        (
+            "summation bounds equivalence",
+            False,
+            lambda: check_bounds_equivalence(min(norm_n, 8), 2),
+        ),
     ]
+    results = _run_beside(
+        forked=[(name, fn) for name, draws, fn in checks if not draws],
+        here=[(name, fn) for name, draws, fn in checks if draws],
+    )
+    by_name = {name: (problems, ms) for name, problems, ms in results}
 
     print(f"seed: {seed}")
     all_ok = True
-    for name, fn in checks:
-        problems = fn()
+    for name, _, _ in checks:
+        problems = by_name[name][0]
         status = "PASS" if not problems else "FAIL"
         all_ok &= not problems
         print(f"{status} {name}")
@@ -212,4 +287,6 @@ def run_selftest(
             print(f"  {p}")
         if len(problems) > 5:
             print(f"  ... {len(problems) - 5} more")
+    for name, _, _ in checks:
+        print(f"selftest: {name}: {by_name[name][1]:.1f} ms", file=sys.stderr)
     return all_ok

@@ -1,13 +1,69 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from spincorr.cg import cg_squared, convergence_scan, decimal_string
 from spincorr.errors import InvalidQuantumNumberError
-from spincorr.selection import allowed_m_pairs, j12_range
+from spincorr.selection import allowed_m_pairs, check_triangle, j12_range
+
+
+def fraction_cg_squared(tj1, tj2, tm1, tm2, tJ, tM):
+    """The Racah z-sum with one Fraction per term, as cg_squared computed
+    it before its z-sum moved to integers: the reference it must equal."""
+    if tm1 + tm2 != tM or not check_triangle(tj1, tj2, tJ):
+        return Fraction(0)
+    f = factorial
+    pre = Fraction(
+        (tJ + 1)
+        * f((tj1 + tj2 - tJ) // 2)
+        * f((tJ + tj1 - tj2) // 2)
+        * f((tJ + tj2 - tj1) // 2),
+        f((tj1 + tj2 + tJ) // 2 + 1),
+    )
+    radicand = (
+        f((tj1 + tm1) // 2)
+        * f((tj1 - tm1) // 2)
+        * f((tj2 + tm2) // 2)
+        * f((tj2 - tm2) // 2)
+        * f((tJ + tM) // 2)
+        * f((tJ - tM) // 2)
+    )
+    z_lo = max(0, -(tJ - tj2 + tm1) // 2, -(tJ - tj1 - tm2) // 2)
+    z_hi = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    zsum = Fraction(0)
+    for z in range(z_lo, z_hi + 1):
+        denom = (
+            f(z)
+            * f((tj1 + tj2 - tJ) // 2 - z)
+            * f((tj1 - tm1) // 2 - z)
+            * f((tj2 + tm2) // 2 - z)
+            * f((tJ - tj2 + tm1) // 2 + z)
+            * f((tJ - tj1 - tm2) // 2 + z)
+        )
+        zsum += Fraction(-1 if z % 2 else 1, denom)
+    return pre * radicand * zsum * zsum
 
 
 class TestCgSquared:
+    def test_equals_the_fraction_z_sum(self):
+        """Every (m1, m2, J, M) entry with j1, j2 <= 4, whether or not the
+        selection rules allow it."""
+        allowed = 0
+        for tj1 in range(0, 9):
+            for tj2 in range(0, 9):
+                for tJ in range(0, tj1 + tj2 + 1):
+                    for tM in range(-tJ, tJ + 1, 2):
+                        for tm1 in range(-tj1, tj1 + 1, 2):
+                            for tm2 in range(-tj2, tj2 + 1, 2):
+                                args = (tj1, tj2, tm1, tm2, tJ, tM)
+                                got = cg_squared(*args)
+                                expected = fraction_cg_squared(*args)
+                                assert type(got) is Fraction and got == expected, args
+                                allowed += tm1 + tm2 == tM and check_triangle(tj1, tj2, tJ)
+        assert allowed == 7809
+
+
     def test_two_spin_one_reference_values(self):
         assert cg_squared(2, 2, 2, -2, 2, 0) == Fraction(1, 2)
         assert cg_squared(2, 2, 0, 0, 2, 0) == 0

@@ -208,15 +208,55 @@ class TestSelftest:
 
     def test_random_triples_draw_stream_pinned(self):
         """A printed seed must sample the same triples in every version:
-        three sequences of n single randrange(2) draws per trial."""
+        three sequences of n single randrange(2) draws per trial, also at
+        the selftest's default sizes."""
         from spincorr.selftest import check_random_triples
 
-        rng = random.Random(11)
-        assert check_random_triples([4, 16], 7, rng) == []
-        reference = random.Random(11)
-        for _ in range(3 * 7 * (4 + 16)):
-            reference.randrange(2)
-        assert rng.getstate() == reference.getstate()
+        for n_values, trials in (([4, 16], 7), ([4, 16, 64], 1000)):
+            rng = random.Random(11)
+            assert check_random_triples(n_values, trials, rng) == []
+            reference = random.Random(11)
+            for _ in range(3 * trials * sum(n_values)):
+                reference.randrange(2)
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed, n_max", [(0, 2), (1, 2), (0, None)])
+    def test_stdout_same_without_fork(self, capsys, monkeypatch, seed, n_max):
+        from spincorr.selftest import run_selftest
+
+        forked = run_selftest(seed=seed, n_max=n_max)
+        forked_out = capsys.readouterr().out
+        monkeypatch.delattr(os, "fork")
+        assert run_selftest(seed=seed, n_max=n_max) == forked
+        assert capsys.readouterr().out == forked_out
+
+    def test_timings_on_stderr(self, capsys):
+        from spincorr.selftest import run_selftest
+
+        assert run_selftest(seed=0, n_max=2)
+        captured = capsys.readouterr()
+        names = [line.split(" ", 1)[1] for line in captured.out.splitlines()[1:]]
+        lines = captured.err.splitlines()
+        assert [line.rsplit(": ", 1)[0] for line in lines] == [
+            f"selftest: {name}" for name in names
+        ]
+        assert all(line.endswith(" ms") for line in lines)
+
+    def test_forked_check_error_surfaces(self, monkeypatch):
+        """A seed-free check that raises kills only the child; the parent
+        runs it again and raises the same error, with no zombie left."""
+        from spincorr import selftest
+
+        def broken(n_max, tj_max):
+            raise ZeroDivisionError("broken check")
+
+        monkeypatch.setattr(selftest, "check_bounds_equivalence", broken)
+        pid = os.getpid()
+        with pytest.raises(ZeroDivisionError, match="broken check"):
+            selftest.run_selftest(seed=0, n_max=2)
+        assert os.getpid() == pid
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_random_triples_failure_messages_pinned(self, monkeypatch):
         """Each failure message names the drawn triple, so with the triangle

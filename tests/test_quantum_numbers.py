@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from spincorr.quantum_numbers import (
     qn8_from_counts,
     qn8_of_corrseq,
 )
-from spincorr.sequences import BitSeq, correlate
+from spincorr.sequences import BitSeq, CorrSeq, correlate
 
 A, B, C, D = (0, 0), (1, 1), (1, 0), (0, 1)
 
@@ -63,6 +65,13 @@ class TestQN4:
     def test_string_rendering(self):
         q = QN4(tj=3, tm=-1, tg=3, tl=1)
         assert str(q) == "(j=3/2, m=-1/2, g=3/2, l=1/2)"
+
+    def test_of_corrseq_matches_counter(self):
+        """Every order-2 sequence with n <= 5."""
+        for n in range(1, 6):
+            for symbols in itertools.product((A, B, C, D), repeat=n):
+                c = CorrSeq(2, symbols)
+                assert qn4_of_corrseq(c) == qn4_from_counts(Counter(c.symbols)), symbols
 
 
 class TestQN8:
