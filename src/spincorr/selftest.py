@@ -270,11 +270,13 @@ def run_selftest(
             lambda: check_bounds_equivalence(min(norm_n, 8), 2),
         ),
     ]
-    results = _run_beside(
-        forked=[(name, fn) for name, draws, fn in checks if not draws],
-        here=[(name, fn) for name, draws, fn in checks if draws],
-    )
-    by_name = {name: (problems, ms) for name, problems, ms in results}
+    by_name = {
+        name: (problems, ms)
+        for name, problems, ms in _run_beside(
+            forked=[(name, fn) for name, draws, fn in checks if not draws],
+            here=[(name, fn) for name, draws, fn in checks if draws],
+        )
+    }
 
     print(f"seed: {seed}")
     all_ok = True
