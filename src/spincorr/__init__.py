@@ -17,7 +17,6 @@ _EXPORTS = {
     "errors": (
         "BudgetExceededError",
         "ConstraintError",
-        "DegeneratePriorsError",
         "InvalidQuantumNumberError",
         "SpincorrError",
     ),

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, perm
 from typing import Iterable, List, Tuple
 
-from .errors import InvalidQuantumNumberError
+from .errors import ConstraintError, InvalidQuantumNumberError
 from .pathcount import Priors, probability_table
 from .selection import check_triangle
 
@@ -99,7 +99,7 @@ def convergence_scan(
         try:
             priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
             table = probability_table(priors)
-        except (InvalidQuantumNumberError, ArithmeticError, ValueError) as exc:
+        except (ConstraintError, InvalidQuantumNumberError) as exc:
             skipped.append((n, str(exc)))
             continue
         for tm10, tm02, p in table:

@@ -15,7 +15,3 @@ class ConstraintError(SpincorrError, ValueError):
 
 class BudgetExceededError(SpincorrError, RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
-
-
-class DegeneratePriorsError(SpincorrError, ArithmeticError):
-    """Every signed path count vanished; the probability table is undefined."""

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import List, Tuple
 
-from .errors import ConstraintError, DegeneratePriorsError, InvalidQuantumNumberError
+from .errors import ConstraintError, InvalidQuantumNumberError
 from .halfint import format_half_integer
 from .selection import allowed_m_pairs, check_triangle
 
@@ -87,7 +87,7 @@ def f_factor(n: int, tj: int, tm: int) -> Fraction:
 def k_bounds(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> Tuple[int, int]:
     """Range of the non-local count k compatible with the given j's and m's.
 
-    May be empty (k_min > k_max).
+    Empty (k_min > k_max) only for a pair outside allowed_m_pairs; see _weight.
     """
     x = (tj10 + tj02 - tj12) // 2
     c10 = (tj10 + tm10) // 2
@@ -113,6 +113,24 @@ def _weight(priors: Priors, tm10: int, tm02: int) -> int:
     C(2G, G + s) (G + x)! / (C(2G, G) G!) is R_s = G!/(G - s)! (G + x)!/(G + s)!.
     The n!^2 cancels against f_a f_b, so with A_s = sum_i B_i B_(i+s) the
     weight is c10! d10! c02! d02! sum_s (-1)^s (2 if s else 1) R_s A_s.
+
+    Every weight is positive, so every table is a probability distribution:
+    1. The raw lattice sum of selftest.upsilon_full_lattice is f_a f_b times
+       sum_(k_a, k_b) (-1)^(k_a + k_b) sum_l12 phi(k_a, l12) phi(k_b, l12)
+       = sum_l12 (sum_k (-1)^k phi(k, l12))^2 >= 0, and the weight is the
+       raw sum divided by the positive factor above.
+    2. At l12 = k_min + j12 - n/2 the (000) count is k_min - k and the (111)
+       count G + k - k_min, with G >= 0 as n >= 2(j10 + j02).  So phi vanishes
+       above k_min, and below it, where k, k - x + c10 or k - x + d02 is < 0;
+       at k_min every count is >= 0 (step 4).  With one k term non-zero, that
+       l12's square, and so the sum, is positive.
+    3. Priors makes allowed_m_pairs non-empty: as |m12| <= j12 <= j10 + j02,
+       m10 = max(-j10, m12 - j02) puts both m's in range, and the integral
+       perimeter gives m02 = m12 - m10 the parity of j02.
+    4. k_min <= k_max for every allowed pair: of the nine inequalities, x >= 0,
+       x <= 2j10 and x <= 2j02 are the triangle rule, x <= c10 + c02 and
+       x <= d10 + d02 are |m12| <= j12, and the other four say c10, d10, c02
+       or d02 is >= 0.
     """
     x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
     g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
@@ -130,34 +148,18 @@ def _weight(priors: Priors, tm10: int, tm02: int) -> int:
 
 
 def path_weights(priors: Priors) -> List[Tuple[int, int, int]]:
-    """The integer _weight of every allowed (m10, m02) pair, in descending
-    m10 order; a negative weight is logged as a warning."""
-    pairs = allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12)
-    if not pairs:
-        raise DegeneratePriorsError("no (m10, m02) pair is allowed by the priors")
-    weights = []
-    for tm10, tm02 in pairs:
-        w = _weight(priors, tm10, tm02)
-        if w < 0:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "negative path count for (m10, m02) = (%s, %s) under %s",
-                format_half_integer(tm10),
-                format_half_integer(tm02),
-                priors,
-            )
-        weights.append((tm10, tm02, w))
-    return weights
+    """The positive integer _weight of every allowed (m10, m02) pair, in
+    descending m10 order; there is at least one pair (see _weight)."""
+    return [
+        (tm10, tm02, _weight(priors, tm10, tm02))
+        for tm10, tm02 in allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12)
+    ]
 
 
 def normalize(weights: List[Tuple[int, int, int]]) -> List[Tuple[int, int, Fraction]]:
-    """Each row of path_weights divided by their sum, as a Fraction."""
+    """Each row of path_weights divided by their sum, as a Fraction; the sum
+    is positive because every weight is."""
     norm = sum(w for _, _, w in weights)
-    if norm == 0:
-        raise DegeneratePriorsError(
-            "all path counts vanished; the probability table is undefined"
-        )
     return [(tm10, tm02, Fraction(w, norm)) for tm10, tm02, w in weights]
 
 

@@ -104,23 +104,21 @@ def _prior_grid(n_max: int, tj_max: int):
 
 
 def check_normalization(n_max: int, tj_max: int) -> List[str]:
-    """Probabilities sum to exactly 1; no negative path counts."""
+    """Probabilities sum to exactly 1, and every path count is positive, as
+    the proof in pathcount._weight says; a zero or negative one is reported."""
     problems = []
     for n, tj1, tj2, tJ, tM in _prior_grid(n_max, tj_max):
         priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
-        try:
-            weights = path_weights(priors)
-            total = sum(p for _, _, p in normalize(weights))
-        except ArithmeticError:
-            continue  # degenerate priors are reported, not summed
+        weights = path_weights(priors)
+        total = sum(p for _, _, p in normalize(weights))
         if total != 1:
             problems.append(f"normalization failed for {priors}: sum = {total}")
         for tm10, tm02, w in weights:
             # the path count is the weight times a positive factor shared by
             # every pair, so the two have the same sign
-            if w < 0:
+            if w <= 0:
                 problems.append(
-                    f"negative path count for {priors}, pair ({tm10}, {tm02})"
+                    f"non-positive path count for {priors}, pair ({tm10}, {tm02})"
                 )
     return problems
 

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from spincorr import pathcount
 from spincorr.cg import cg_squared, convergence_scan, decimal_string
 from spincorr.errors import InvalidQuantumNumberError
 from spincorr.selection import allowed_m_pairs, check_triangle, j12_range
@@ -147,6 +148,16 @@ class TestConvergenceScan:
         rows, skipped = convergence_scan(2, 2, 2, 0, [2, 6])
         assert [n for n, _ in skipped] == [2]
         assert all(r.n == 6 for r in rows)
+
+    def test_table_error_propagates(self, monkeypatch):
+        # only the errors Priors raises mean "skip this n"; any other error
+        # in the table path is a fault and reaches the caller
+        def broken(priors, tm10, tm02):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(pathcount, "_weight", broken)
+        with pytest.raises(ValueError, match="math domain"):
+            convergence_scan(2, 2, 2, 0, [2, 6, 8])
 
     def test_stretched_all_zero(self):
         rows, _ = convergence_scan(2, 2, 4, 4, [4, 8, 16])

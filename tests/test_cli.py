@@ -292,8 +292,9 @@ class TestDeterminism:
             sys.executable, "-m", "spincorr.cli", "prob",
             "--n", "8", "--j1", "3/2", "--j2", "1", "--J", "3/2", "--M", "1/2",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        env = {**os.environ, "PYTHONPATH": SRC}
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         assert first.stdout
 

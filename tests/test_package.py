@@ -12,8 +12,8 @@ SRC = str(Path(spincorr.__file__).resolve().parents[1])
 
 EXPORTS = [
     "cg_squared", "convergence_scan",
-    "BudgetExceededError", "ConstraintError", "DegeneratePriorsError",
-    "InvalidQuantumNumberError", "SpincorrError",
+    "BudgetExceededError", "ConstraintError", "InvalidQuantumNumberError",
+    "SpincorrError",
     "format_half_integer", "parse_half_integer",
     "Priors", "f_factor", "k_bounds", "phi", "probability_table",
     "QN4", "QN8", "counts4_from_qn4", "counts8_from_qn8", "qn4_from_counts",
@@ -30,7 +30,7 @@ SUBMODULES = [
 
 
 def test_all_lists_the_exports():
-    assert len(EXPORTS) == 33
+    assert len(EXPORTS) == 32
     assert sorted(spincorr.__all__) == sorted(EXPORTS)
 
 

@@ -1,9 +1,9 @@
 import inspect
-import logging
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spincorr import pathcount, selftest
 from spincorr.brute import phi_by_enumeration
@@ -298,29 +298,20 @@ class TestProbabilityTable:
                     table = probability_table(priors)
                     assert sum(p for _, _, p in table) == 1
 
-    def test_negative_weight_is_logged(self, monkeypatch, caplog):
-        weight = pathcount._weight
-
-        def one_negative(priors, tm10, tm02):
-            w = weight(priors, tm10, tm02)
-            return -w if (tm10, tm02) == (0, 0) else w
-
-        monkeypatch.setattr(pathcount, "_weight", one_negative)
-        priors = Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)
-        with caplog.at_level(logging.WARNING, logger="spincorr.pathcount"):
-            table = probability_table(priors)
-        assert sum(p for _, _, p in table) == 1
-        assert [(r.name, r.getMessage()) for r in caplog.records] == [
-            ("spincorr.pathcount",
-             "negative path count for (m10, m02) = (0, 0) under "
-             "Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)"),
-        ]
-
     def test_mirror_symmetry_at_zero_m12(self):
-        priors = Priors(n=10, tj10=4, tj02=2, tj12=4, tm12=0)
-        table = {(a, b): p for a, b, p in probability_table(priors)}
-        for (a, b), p in table.items():
-            assert table[(-a, -b)] == p
+        # P(m1, m2 | J, M) = P(-m1, -m2 | J, -M) for every prior with
+        # j1, j2 <= 3, at the smallest n, one above it, and n = 60
+        for tj1 in range(7):
+            for tj2 in range(7):
+                for tJ in j12_range(tj1, tj2):
+                    for tM in range(-tJ, tJ + 1, 2):
+                        lo = max(1, tj1 + tj2)
+                        for n in (lo, lo + 1, 60):
+                            table = probability_table(Priors(n, tj1, tj2, tJ, tM))
+                            mirror = probability_table(Priors(n, tj1, tj2, tJ, -tM))
+                            assert table == [
+                                (-a, -b, p) for a, b, p in reversed(mirror)
+                            ], (n, tj1, tj2, tJ, tM)
 
 
 class TestIntegerWeight:
@@ -371,3 +362,57 @@ class TestIntegerWeight:
             for tm10, tm02 in allowed_m_pairs(*prior[1:3], prior[4])
         ]
         assert calls == expected
+
+
+@st.composite
+def any_priors(draw):
+    """A prior with j1, j2 <= 6, any J and M they allow, and n from
+    2(j1 + j2) up to 10**6."""
+    tj1 = draw(st.integers(0, 12))
+    tj2 = draw(st.integers(0, 12))
+    tJ = draw(st.sampled_from(j12_range(tj1, tj2)))
+    tM = draw(st.sampled_from(range(-tJ, tJ + 1, 2)))
+    n = draw(st.integers(max(1, tj1 + tj2), 10**6))
+    return Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
+
+
+class TestPositivity:
+    """The steps of the positivity proof in the _weight docstring."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_priors())
+    def test_every_weight_is_a_positive_int(self, priors):
+        pairs = allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12)
+        assert pairs
+        for tm10, tm02 in pairs:
+            k_min, k_max = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
+            assert k_min <= k_max
+            w = pathcount._weight(priors, tm10, tm02)
+            assert type(w) is int and w > 0
+
+    def test_witness_has_one_nonzero_phi(self):
+        # at l12 = k_min + j12 - n/2 only k = k_min gives a non-zero phi
+        for priors in small_priors(n_max=8, tj_max=4):
+            for tm10, tm02 in allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12):
+                k_min, _ = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
+                tl12 = 2 * k_min - priors.n + priors.tj12
+                nonzero = [
+                    k for k in range(priors.n + 1)
+                    if phi(QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
+                               priors.tj12, tl12, k))
+                ]
+                assert nonzero == [k_min], (priors, tm10, tm02)
+
+    @pytest.mark.parametrize("spoil", [lambda w: 0, lambda w: -w], ids=["zero", "negated"])
+    def test_check_normalization_reports_non_positive_weight(self, monkeypatch, spoil):
+        weight = pathcount._weight
+        spoiled = Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)
+
+        def one_spoiled(priors, tm10, tm02):
+            w = weight(priors, tm10, tm02)
+            return spoil(w) if (priors, tm10, tm02) == (spoiled, 0, 0) else w
+
+        monkeypatch.setattr(pathcount, "_weight", one_spoiled)
+        assert check_normalization(6, 2) == [
+            f"non-positive path count for {spoiled}, pair (0, 0)"
+        ]
