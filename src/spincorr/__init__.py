@@ -21,12 +21,13 @@ _EXPORTS = {
         "SpincorrError",
     ),
     "halfint": ("format_half_integer", "parse_half_integer"),
-    "pathcount": ("Priors", "f_factor", "k_bounds", "probability_table"),
+    "pathcount": ("Priors", "k_bounds", "probability_table"),
     "quantum_numbers": (
         "QN4",
         "QN8",
         "counts4_from_qn4",
         "counts8_from_qn8",
+        "f_factor",
         "phi",
         "qn4_from_counts",
         "qn4_of_corrseq",

@@ -13,9 +13,8 @@ import itertools
 import random
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
-from .errors import BudgetExceededError
-from .quantum_numbers import QN8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts
-from .sequences import DEFAULT_ENUM_BUDGET, BitSeq, CorrSeq, apply_map, correlate
+from .quantum_numbers import QN8, SYMBOLS8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts
+from .sequences import BitSeq, CorrSeq, apply_map, check_enum_cap, correlate
 
 PAIR_FIELDS = {
     "10": ("tj10", "tm10", "tg10", "tl10"),
@@ -24,23 +23,16 @@ PAIR_FIELDS = {
 }
 
 
-def _check_budget(total: int, budget: int) -> None:
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumerating {total} items exceeds the budget of {budget}"
-        )
-
-
-def enumerate_base8_counts(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> Dict[tuple, int]:
+def enumerate_base8_counts(n: int) -> Dict[tuple, int]:
     """Bin all 8^n order-3 sequences by their count vector.
 
     Keys are 8-tuples of counts in lexicographic symbol order.  Every
     length-i sequence is one length-(i-1) prefix followed by one symbol, so
     the bins grow by extending prefixes: each bin's multiplicity passes to
     the 8 bins holding one more of a symbol.  Only additions are used, no
-    factorial.  The budget still counts the 8^n sequences covered.
+    factorial.  The enumeration cap still counts the 8^n sequences covered.
     """
-    _check_budget(8**n, budget)
+    check_enum_cap(8**n)
     bins: Dict[tuple, int] = {(0,) * 8: 1}
     for _ in range(n):
         longer: Dict[tuple, int] = {}
@@ -54,29 +46,23 @@ def enumerate_base8_counts(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> Dict[tu
 
 def counts_key_to_qn8(key: tuple) -> QN8:
     """Interpret a lexicographic 8-tuple of counts as base-8 counts."""
-    counts = {
-        (b >> 2 & 1, b >> 1 & 1, b & 1): c for b, c in enumerate(key)
-    }
-    return qn8_from_counts(counts)
+    return qn8_from_counts(dict(zip(SYMBOLS8, key)))
 
 
-def phi_by_enumeration(q: QN8, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+def phi_by_enumeration(q: QN8) -> int:
     """Count order-3 sequences whose measured quantum numbers equal q."""
     if counts8_from_qn8(q) is None:
         return 0
-    _check_budget(8**q.n, budget)
     target = (q.n, q.tj10, q.tj02, q.tm10, q.tm02, q.tj12, q.tl12, q.k)
     total = 0
-    for key, multiplicity in enumerate_base8_counts(q.n, budget).items():
+    for key, multiplicity in enumerate_base8_counts(q.n).items():
         m = counts_key_to_qn8(key)
         if (m.n, m.tj10, m.tj02, m.tm10, m.tm02, m.tj12, m.tl12, m.k) == target:
             total += multiplicity
     return total
 
 
-def witness_triples(
-    n: int, budget: int = DEFAULT_ENUM_BUDGET, **constraints: int
-) -> Iterator[Tuple[BitSeq, BitSeq, BitSeq]]:
+def witness_triples(n: int, **constraints: int) -> Iterator[Tuple[BitSeq, BitSeq, BitSeq]]:
     """All (s1, s0, s2) triples whose pairwise quantum numbers match the
     given doubled-integer constraints (e.g. tj10=2, tm02=-1, tj12=3).
 
@@ -86,7 +72,7 @@ def witness_triples(
     unknown = set(constraints) - valid
     if unknown:
         raise ValueError(f"unknown constraints: {sorted(unknown)}")
-    _check_budget(2 ** (3 * n), budget)
+    check_enum_cap(2 ** (3 * n))
     for bits in itertools.product((0, 1), repeat=3 * n):
         s1 = BitSeq(bits[:n])
         s0 = BitSeq(bits[n : 2 * n])

@@ -18,13 +18,13 @@ from typing import Iterable, List, Tuple
 
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .pathcount import Priors, probability_table
-from .selection import check_triangle
+from .selection import check_projection, check_triangle
 
 
 def _check_jm(tj: int, tm: int, label: str) -> None:
     if tj < 0:
         raise InvalidQuantumNumberError(f"{label}: j must be nonnegative")
-    if abs(tm) > tj or (tj + tm) % 2:
+    if not check_projection(tj, tm):
         raise InvalidQuantumNumberError(
             f"{label}: m must satisfy -j <= m <= j in integer steps"
         )

@@ -15,7 +15,7 @@ from .cg import cg_squared, convergence_scan, decimal_string
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .halfint import format_half_integer, parse_half_integer
 from .pathcount import Priors, probability_table
-from .selection import allowed_m_pairs, check_triangle
+from .selection import allowed_m_pairs, check_projection, check_triangle
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -71,7 +71,7 @@ def _spins(args) -> Tuple[Tuple[int, int, int, int], Dict[str, str]]:
         raise InvalidQuantumNumberError(
             "triangle rule violated: |j1 - j2| <= J <= j1 + j2 with integer perimeter"
         )
-    if abs(tM) > tJ or (tJ + tM) % 2:
+    if not check_projection(tJ, tM):
         raise InvalidQuantumNumberError("M must satisfy -J <= M <= J in integer steps")
     return tj, {key: format_half_integer(t) for key, t in zip(SPIN_KEYS, tj)}
 

@@ -15,8 +15,8 @@ same for every (m10, m02) pair of the priors, so probability_table
 normalizes without it, never builds it, and its cost does not grow with n.
 selftest.upsilon_full_lattice keeps the raw lattice sum as the independent
 oracle, and the selftest compares probability_table with it, normalized, row
-by row.  The multinomial phi it sums lives in quantum_numbers (pathcount.phi
-still resolves to it), so this module does not import quantum_numbers.
+by row.  That sum's multinomial phi and measurement factor f_factor are
+oracles too and live in quantum_numbers, which this module does not import.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import List, Tuple
 
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .halfint import format_half_integer
-from .selection import allowed_m_pairs, check_triangle
+from .selection import allowed_m_pairs, check_projection, check_triangle, g12_range
 
 
 class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
@@ -44,12 +44,11 @@ class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
                 "with integer perimeter, got j10=%s j02=%s j12=%s"
                 % tuple(format_half_integer(t) for t in (tj10, tj02, tj12))
             )
-        if abs(tm12) > tj12 or (tj12 + tm12) % 2:
+        if not check_projection(tj12, tm12):
             raise InvalidQuantumNumberError(
                 "m12 must satisfy -j12 <= m12 <= j12 in integer steps"
             )
-        if n < tj10 + tj02:
-            raise ConstraintError(f"n = {n} is below 2(j10 + j02) = {tj10 + tj02}")
+        g12_range(n, tj10, tj02)  # raises ConstraintError below the n floor
         if n < 1:
             raise InvalidQuantumNumberError("n must be positive")
         return super().__new__(cls, n, tj10, tj02, tj12, tm12)
@@ -58,30 +57,6 @@ class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
     def _make(cls, iterable):
         # namedtuple's _make (and _replace, which calls it) skips __new__
         return cls(*iterable)
-
-
-def __getattr__(name: str):
-    # phi, the multinomial path count, is an oracle that lives in
-    # quantum_numbers; it is still answered here for existing callers
-    if name == "phi":
-        from .quantum_numbers import phi
-
-        return phi
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def f_factor(n: int, tj: int, tm: int) -> Fraction:
-    """Measurement factor C!D!(n-C-D)!/n! with C=j+m, D=j-m.
-
-    The same formula serves both observers; only (j, m) differ.
-    """
-    if tj < 0 or abs(tm) > tj or (tj + tm) % 2:
-        raise InvalidQuantumNumberError("f_factor needs -j <= m <= j in integer steps")
-    if tj > n:
-        raise InvalidQuantumNumberError(f"2j = {tj} exceeds n = {n}")
-    c = (tj + tm) // 2
-    d = (tj - tm) // 2
-    return Fraction(factorial(c) * factorial(d) * factorial(n - c - d), factorial(n))
 
 
 def k_bounds(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> Tuple[int, int]:

@@ -13,7 +13,6 @@ count, is a plain integer.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -21,7 +20,8 @@ from typing import Dict, Optional, Tuple
 
 from .errors import InvalidQuantumNumberError
 from .halfint import format_half_integer
-from .sequences import CorrSeq
+from .selection import check_projection
+from .sequences import CorrSeq, count_symbols
 
 Counts4 = Dict[Tuple[int, int], int]
 Counts8 = Dict[Tuple[int, int, int], int]
@@ -154,8 +154,7 @@ def counts4_from_qn4(q: QN4) -> Counts4:
 def qn4_of_corrseq(c: CorrSeq) -> QN4:
     if c.order != 2:
         raise ValueError("base-4 quantum numbers need an order-2 sequence")
-    s = c.symbols
-    return qn4_from_counts({A: s.count(A), B: s.count(B), C: s.count(C), D: s.count(D)})
+    return qn4_from_counts(count_symbols(c))
 
 
 def qn8_from_counts(c: Counts8) -> QN8:
@@ -212,10 +211,25 @@ def phi(q: QN8) -> int:
     return result
 
 
+def f_factor(n: int, tj: int, tm: int) -> Fraction:
+    """Measurement factor C!D!(n-C-D)!/n! with C=j+m, D=j-m.
+
+    The same formula serves both observers; only (j, m) differ.  An oracle,
+    like phi: selftest.upsilon_full_lattice weighs its lattice sum with it.
+    """
+    if not check_projection(tj, tm):
+        raise InvalidQuantumNumberError("f_factor needs -j <= m <= j in integer steps")
+    if tj > n:
+        raise InvalidQuantumNumberError(f"2j = {tj} exceeds n = {n}")
+    c = (tj + tm) // 2
+    d = (tj - tm) // 2
+    return Fraction(factorial(c) * factorial(d) * factorial(n - c - d), factorial(n))
+
+
 def qn8_of_corrseq(c: CorrSeq) -> QN8:
     if c.order != 3:
         raise ValueError("base-8 quantum numbers need an order-3 sequence")
-    return qn8_from_counts(Counter(c.symbols))
+    return qn8_from_counts(count_symbols(c))
 
 
 def pair_counts4(c8: Counts8, pair: str) -> Counts4:

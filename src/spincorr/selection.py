@@ -24,6 +24,11 @@ def check_triangle(tj10: int, tj02: int, tj12: int) -> bool:
     return abs(tj10 - tj02) <= tj12 <= tj10 + tj02
 
 
+def check_projection(tj: int, tm: int) -> bool:
+    """-j <= m <= j in integer steps; false for every j < 0."""
+    return abs(tm) <= tj and (tj + tm) % 2 == 0
+
+
 def j12_range(tj10: int, tj02: int) -> List[int]:
     """Admissible j12 values in unit steps, for unconstrained n."""
     return list(range(abs(tj10 - tj02), tj10 + tj02 + 1, 2))
@@ -72,6 +77,6 @@ def allowed_m_pairs(tj10: int, tj02: int, tm12: int) -> List[Tuple[int, int]]:
     pairs = []
     for tm10 in range(tj10, -tj10 - 1, -2):
         tm02 = tm12 - tm10
-        if -tj02 <= tm02 <= tj02 and (tj02 + tm02) % 2 == 0:
+        if check_projection(tj02, tm02):
             pairs.append((tm10, tm02))
     return pairs

@@ -17,8 +17,10 @@ from itertools import zip_longest
 from typing import Callable, List, Optional, Tuple
 
 from . import brute
-from .pathcount import Priors, f_factor, normalize, path_weights, probability_table
-from .quantum_numbers import QN8, counts4_from_qn4, phi, qn4_from_counts, qn4_of_corrseq
+from .pathcount import Priors, normalize, path_weights, probability_table
+from .quantum_numbers import (
+    QN8, counts4_from_qn4, f_factor, phi, qn4_from_counts, qn4_of_corrseq,
+)
 from .selection import allowed_m_pairs, check_triangle, j12_range
 from .sequences import BitSeq, correlate
 

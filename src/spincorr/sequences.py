@@ -8,8 +8,8 @@ element-wise addition modulo two and are involutions.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Dict, Iterator, Sequence, Tuple
 
@@ -17,7 +17,8 @@ from .errors import BudgetExceededError
 
 Symbol = Tuple[int, ...]
 
-DEFAULT_ENUM_BUDGET = 1 << 24
+# the most sequences one exhaustive enumeration may cover: it grows as 2^(d*n)
+ENUM_CAP = 1 << 24
 
 ALIAS_OF_PAIR = {(0, 0): "A", (1, 1): "B", (1, 0): "C", (0, 1): "D"}
 PAIR_OF_ALIAS = {v: k for k, v in ALIAS_OF_PAIR.items()}
@@ -133,10 +134,21 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
     return CorrSeq(order=len(seqs), symbols=symbols)
 
 
+@functools.lru_cache(maxsize=None)
+def _alphabet(order: int) -> Tuple[Symbol, ...]:
+    """The 2^d symbols of order d, in lexicographic order; built once per d."""
+    return tuple(itertools.product((0, 1), repeat=order))
+
+
 def count_symbols(c: CorrSeq) -> Dict[Symbol, int]:
-    """Occurrence counts over the full 2^d alphabet; missing symbols are 0."""
-    counts = {sym: 0 for sym in itertools.product((0, 1), repeat=c.order)}
-    counts.update(Counter(c.symbols))
+    """Occurrence counts over the full 2^d alphabet, keyed in lexicographic
+    order; missing symbols are 0."""
+    # a plain loop: before Python 3.12 a comprehension costs a frame per
+    # call, and the selftest counts thousands of sequences
+    symbols = c.symbols
+    counts = {}
+    for sym in _alphabet(c.order):
+        counts[sym] = symbols.count(sym)
     return counts
 
 
@@ -159,17 +171,18 @@ def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:
     return CorrSeq(order=initial.order, symbols=symbols)
 
 
-def enumerate_sequences(
-    n: int, d: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[CorrSeq]:
-    """All 2^(d*n) order-d sequences of length n, in lexicographic order."""
-    total = 1 << (d * n)
-    if total > budget:
+def check_enum_cap(total: int) -> None:
+    """Raise BudgetExceededError if `total` sequences exceed ENUM_CAP."""
+    if total > ENUM_CAP:
         raise BudgetExceededError(
-            f"enumerating {total} sequences exceeds the budget of {budget}"
+            f"enumerating {total} sequences exceeds the budget of {ENUM_CAP}"
         )
-    alphabet = tuple(itertools.product((0, 1), repeat=d))
-    for symbols in itertools.product(alphabet, repeat=n):
+
+
+def enumerate_sequences(n: int, d: int) -> Iterator[CorrSeq]:
+    """All 2^(d*n) order-d sequences of length n, in lexicographic order."""
+    check_enum_cap(1 << (d * n))
+    for symbols in itertools.product(_alphabet(d), repeat=n):
         yield CorrSeq(order=d, symbols=symbols)
 
 

@@ -9,7 +9,8 @@ import pytest
 from spincorr.brute import counts_key_to_qn8, enumerate_base8_counts, map_conservation_report
 from spincorr.cg import cg_squared, convergence_scan
 from spincorr.cli import main
-from spincorr.pathcount import Priors, phi, probability_table
+from spincorr.pathcount import Priors, probability_table
+from spincorr.quantum_numbers import phi
 from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import check_normalization, check_random_triples
 from spincorr.sequences import parse

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spincorr import brute
+from spincorr import brute, sequences
 from spincorr.brute import (
     conserved_quantum_numbers,
     counts_key_to_qn8,
@@ -14,9 +14,8 @@ from spincorr.brute import (
     witness_triples,
 )
 from spincorr.errors import BudgetExceededError
-from spincorr.pathcount import phi
-from spincorr.quantum_numbers import QN8
-from spincorr.sequences import CorrSeq, parse
+from spincorr.quantum_numbers import QN8, phi
+from spincorr.sequences import ENUM_CAP, CorrSeq, parse
 
 
 def literal_base8_counts(n):
@@ -45,10 +44,18 @@ class TestEnumerateBase8Counts:
         assert sum(enumerate_base8_counts(n).values()) == 8**n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_budget_counts_sequences_covered(self, n):
+    def test_budget_counts_sequences_covered(self, n, monkeypatch):
+        monkeypatch.setattr(sequences, "ENUM_CAP", 8**n - 1)
         with pytest.raises(BudgetExceededError):
-            enumerate_base8_counts(n, budget=8**n - 1)
-        assert sum(enumerate_base8_counts(n, budget=8**n).values()) == 8**n
+            enumerate_base8_counts(n)
+        monkeypatch.setattr(sequences, "ENUM_CAP", 8**n)
+        assert sum(enumerate_base8_counts(n).values()) == 8**n
+
+    def test_cap_refuses_n9(self):
+        # n = 8 covers exactly ENUM_CAP sequences; test_covers_every_sequence runs it
+        assert ENUM_CAP == 8**8 == 2**24
+        with pytest.raises(BudgetExceededError, match=str(ENUM_CAP)):
+            enumerate_base8_counts(9)
 
     def test_no_factorial_enters_the_oracle(self):
         banned = ("math", "factorial", "comb", "multinomial")
@@ -69,9 +76,10 @@ class TestPhiByEnumeration:
         assert phi_by_enumeration(q) == 1
 
     def test_budget(self):
-        q = QN8(n=10, tj10=0, tj02=0, tm10=0, tm02=0, tj12=0, tl12=10, k=0)
+        q = QN8(n=9, tj10=0, tj02=0, tm10=0, tm02=0, tj12=0, tl12=9, k=0)
+        assert phi(q) == 1
         with pytest.raises(BudgetExceededError):
-            phi_by_enumeration(q, budget=1000)
+            phi_by_enumeration(q)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_grid_equivalence(self, n):
@@ -105,8 +113,9 @@ class TestWitnessTriples:
             list(witness_triples(2, tj99=0))
 
     def test_budget(self):
+        # 2^27 triples at n = 9; the cap refuses before the first one
         with pytest.raises(BudgetExceededError):
-            list(witness_triples(4, budget=100))
+            next(witness_triples(9))
 
 
 class TestMapConservation:

@@ -8,14 +8,8 @@ from hypothesis import given, settings, strategies as st
 from spincorr import pathcount, selftest
 from spincorr.brute import phi_by_enumeration
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
-from spincorr.pathcount import (
-    Priors,
-    f_factor,
-    k_bounds,
-    phi,
-    probability_table,
-)
-from spincorr.quantum_numbers import QN8, counts8_from_qn8
+from spincorr.pathcount import Priors, k_bounds, probability_table
+from spincorr.quantum_numbers import QN8, counts8_from_qn8, f_factor, phi
 from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import _prior_grid, check_normalization, upsilon_full_lattice
 

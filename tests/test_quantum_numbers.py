@@ -10,6 +10,7 @@ from spincorr.errors import InvalidQuantumNumberError
 from spincorr.quantum_numbers import (
     QN4,
     QN8,
+    SYMBOLS8,
     counts4_from_qn4,
     counts8_from_qn8,
     pair_counts4,
@@ -75,6 +76,13 @@ class TestQN4:
 
 
 class TestQN8:
+    def test_of_corrseq_matches_counter(self):
+        """Every order-3 sequence with n <= 3."""
+        for n in range(1, 4):
+            for symbols in itertools.product(SYMBOLS8, repeat=n):
+                c = CorrSeq(3, symbols)
+                assert qn8_of_corrseq(c) == qn8_from_counts(Counter(c.symbols)), symbols
+
     def test_non_overlapping_brackets(self):
         q = qn8_from_counts({(1, 1, 0): 1, (1, 1, 1): 1, (1, 0, 0): 1, (0, 1, 1): 1})
         assert (q.tj10, q.tj02, q.tj12, q.n) == (2, 1, 3, 4)

@@ -7,6 +7,7 @@ from spincorr.errors import ConstraintError
 from spincorr.quantum_numbers import QN4, qn4_of_corrseq
 from spincorr.selection import (
     allowed_m_pairs,
+    check_projection,
     check_triangle,
     g12_range,
     j12_bounds_constrained,
@@ -29,6 +30,14 @@ class TestTriangle:
 
     def test_negative_rejected(self):
         assert not check_triangle(-1, 1, 1)
+
+
+class TestProjection:
+    def test_table_matches_inline_condition(self):
+        for tj in range(-8, 9):
+            for tm in range(-8, 9):
+                inline = not (tj < 0 or abs(tm) > tj or (tj + tm) % 2)
+                assert check_projection(tj, tm) == inline, (tj, tm)
 
 
 class TestJ12Range:
