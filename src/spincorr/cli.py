@@ -116,6 +116,9 @@ def _n_values(args) -> List[int]:
 
 
 def cmd_converge(args) -> int:
+    if args.geometric:
+        # a doubling scan has no step; its JSON params echo step 0
+        args.step = 0
     tj, spins = _spins(args)
     scan_rows, skipped = convergence_scan(*tj, _n_values(args))
     for n, reason in skipped:
@@ -147,13 +150,6 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
-
-
-class _Doubling(argparse.Action):
-    """--geometric: double n each step; the JSON params echo it as step 0."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        namespace.geometric, namespace.step = True, 0
 
 
 def _join_negative_spins(argv: List[str]) -> List[str]:
@@ -203,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-start", type=_count, required=True)
     p.add_argument("--n-max", type=int, required=True)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--geometric", action=_Doubling, nargs=0, default=False,
-                       help="double n each step")
+    group.add_argument("--geometric", action="store_true", help="double n each step")
     group.add_argument("--step", type=_count, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_converge)

@@ -21,17 +21,14 @@ from typing import Dict, Optional, Tuple
 from .errors import InvalidQuantumNumberError
 from .halfint import format_half_integer
 from .selection import check_projection
-from .sequences import CorrSeq, count_symbols
+from .sequences import PAIR_OF_ALIAS, CorrSeq, alphabet, count_symbols
 
 Counts4 = Dict[Tuple[int, int], int]
 Counts8 = Dict[Tuple[int, int, int], int]
 
-A, B, C, D = (0, 0), (1, 1), (1, 0), (0, 1)
+A, B, C, D = (PAIR_OF_ALIAS[alias] for alias in "ABCD")
 
-SYMBOLS8 = (
-    (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-    (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
-)
+SYMBOLS8 = alphabet(3)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from typing import Callable, List, Optional, Tuple
 from . import brute
 from .pathcount import Priors, normalize, path_weights, probability_table
 from .quantum_numbers import (
-    QN8, counts4_from_qn4, f_factor, phi, qn4_from_counts, qn4_of_corrseq,
+    QN8, A, B, C, D, counts4_from_qn4, f_factor, phi, qn4_from_counts,
+    qn4_of_corrseq,
 )
 from .selection import allowed_m_pairs, check_triangle, j12_range
 from .sequences import BitSeq, correlate
@@ -82,10 +83,10 @@ def check_roundtrips(trials: int, rng: random.Random) -> List[str]:
         n = rng.randrange(1, 40)
         c4 = {}
         remaining = n
-        for sym in ((0, 0), (1, 1), (1, 0)):
+        for sym in (A, B, C):
             c4[sym] = rng.randint(0, remaining)
             remaining -= c4[sym]
-        c4[(0, 1)] = remaining
+        c4[D] = remaining
         if counts4_from_qn4(qn4_from_counts(c4)) != c4:
             problems.append(f"base-4 round trip failed for {c4}")
     return problems

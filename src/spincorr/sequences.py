@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import BudgetExceededError
 
@@ -24,19 +24,15 @@ ALIAS_OF_PAIR = {(0, 0): "A", (1, 1): "B", (1, 0): "C", (0, 1): "D"}
 PAIR_OF_ALIAS = {v: k for k, v in ALIAS_OF_PAIR.items()}
 
 
-def _distinct(items: Sequence) -> Collection:
-    """The distinct elements of items, for checks that look at each value
-    once; items itself if some element is unhashable."""
-    try:
-        return set(items)
-    except TypeError:
-        return items
-
-
-def _as_bit(b) -> int:
-    """An accepted element (== 0 or == 1, e.g. True, 1.0, 0j) as the int
-    0 or 1; by value, because int(0j) raises."""
-    return 1 if b == 1 else 0
+def _bit_tuple(items) -> Tuple[int, ...] | None:
+    """items as a tuple of the ints 0 and 1, or None if some element equals
+    neither; by value, so True, 1.0 and 0j qualify."""
+    bits = []
+    for b in items:
+        if b not in (0, 1):
+            return None
+        bits.append(1 if b == 1 else 0)
+    return tuple(bits)
 
 
 @dataclass(frozen=True)
@@ -48,12 +44,9 @@ class BitSeq:
     def __post_init__(self):
         if len(self.bits) < 1:
             raise ValueError("a bit sequence needs length n >= 1")
-        bits = tuple(self.bits)
-        distinct = _distinct(bits)
-        if any(b not in (0, 1) for b in distinct):
+        bits = _bit_tuple(self.bits)
+        if bits is None:
             raise ValueError("bit sequence elements must be 0 or 1")
-        if any(type(b) is not int for b in distinct):
-            bits = tuple(map(_as_bit, bits))
         object.__setattr__(self, "bits", bits)
 
     @classmethod
@@ -88,16 +81,16 @@ class CorrSeq:
             raise ValueError("correlation order must be positive")
         if len(self.symbols) < 1:
             raise ValueError("a correlation sequence needs length n >= 1")
-        symbols = tuple(map(tuple, self.symbols))
-        distinct = _distinct(symbols)
-        for sym in distinct:
-            if len(sym) != self.order or any(b not in (0, 1) for b in sym):
+        symbols = []
+        # all symbols become tuples first: a non-iterable one raises TypeError
+        for sym in tuple(map(tuple, self.symbols)):
+            bits = _bit_tuple(sym)
+            if bits is None or len(bits) != self.order:
                 raise ValueError(
                     f"every symbol must be a {self.order}-tuple of bits"
                 )
-        if any(type(b) is not int for sym in distinct for b in sym):
-            symbols = tuple(tuple(map(_as_bit, sym)) for sym in symbols)
-        object.__setattr__(self, "symbols", symbols)
+            symbols.append(bits)
+        object.__setattr__(self, "symbols", tuple(symbols))
 
     @classmethod
     def _trusted(cls, order: int, symbols: Tuple[Symbol, ...]) -> "CorrSeq":
@@ -135,9 +128,10 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
 
 
 @functools.lru_cache(maxsize=None)
-def _alphabet(order: int) -> Tuple[Symbol, ...]:
-    """The 2^d symbols of order d, in lexicographic order; built once per d."""
-    return tuple(itertools.product((0, 1), repeat=order))
+def alphabet(d: int) -> Tuple[Symbol, ...]:
+    """The 2^d symbols of order d, in lexicographic order; built once per d.
+    Every module takes its symbols from here."""
+    return tuple(itertools.product((0, 1), repeat=d))
 
 
 def count_symbols(c: CorrSeq) -> Dict[Symbol, int]:
@@ -147,7 +141,7 @@ def count_symbols(c: CorrSeq) -> Dict[Symbol, int]:
     # call, and the selftest counts thousands of sequences
     symbols = c.symbols
     counts = {}
-    for sym in _alphabet(c.order):
+    for sym in alphabet(c.order):
         counts[sym] = symbols.count(sym)
     return counts
 
@@ -182,7 +176,7 @@ def check_enum_cap(total: int) -> None:
 def enumerate_sequences(n: int, d: int) -> Iterator[CorrSeq]:
     """All 2^(d*n) order-d sequences of length n, in lexicographic order."""
     check_enum_cap(1 << (d * n))
-    for symbols in itertools.product(_alphabet(d), repeat=n):
+    for symbols in itertools.product(alphabet(d), repeat=n):
         yield CorrSeq(order=d, symbols=symbols)
 
 
@@ -195,7 +189,7 @@ def render(c: CorrSeq) -> str:
     return ",".join("".join(str(b) for b in sym) for sym in c.symbols)
 
 
-def parse(text: str, order: int | None = None) -> CorrSeq:
+def parse(text: str) -> CorrSeq:
     """Parse the forms produced by :func:`render`."""
     text = text.strip()
     if "," in text:
@@ -203,11 +197,13 @@ def parse(text: str, order: int | None = None) -> CorrSeq:
             tuple(int(ch) for ch in chunk.strip()) for chunk in text.split(",")
         )
         return CorrSeq(order=len(symbols[0]), symbols=symbols)
-    if text and text[0] in PAIR_OF_ALIAS:
-        symbols = tuple(PAIR_OF_ALIAS[ch] for ch in text)
-        return CorrSeq(order=2, symbols=symbols)
-    if order == 2:
-        symbols = tuple(PAIR_OF_ALIAS[ch] for ch in text)
+    if text[:1] in PAIR_OF_ALIAS:
+        try:
+            symbols = tuple(PAIR_OF_ALIAS[ch] for ch in text)
+        except KeyError:
+            raise ValueError(
+                f"an order-2 sequence is written in A, B, C and D only: {text!r}"
+            ) from None
         return CorrSeq(order=2, symbols=symbols)
     symbols = tuple((int(ch),) for ch in text)
     return CorrSeq(order=1, symbols=symbols)

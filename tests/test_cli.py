@@ -167,6 +167,25 @@ class TestConverge:
         assert code == 0
         jsonschema.validate(json.loads(out), load_schema())
 
+    def test_geometric_params_echo_step_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "converge", "--j1", "1", "--j2", "1", "--J", "1", "--M", "0",
+            "--n-start", "6", "--n-max", "12", "--geometric", "--format", "json",
+        )
+        assert code == 0
+        assert list(json.loads(out)["params"].items()) == [
+            ("command", "converge"), ("j1", "1"), ("j2", "1"), ("J", "1"), ("M", "0"),
+            ("n_start", 6), ("n_max", 12), ("geometric", True), ("step", 0), ("digits", 6),
+        ]
+
+    @pytest.mark.parametrize("flags", [["--geometric=1"], ["--geometric", "--step", "2"]])
+    def test_geometric_takes_no_value_and_no_step(self, flags):
+        code, out, err = invoke(["converge", *SPINS_1_1_1_0, "--n-start", "6",
+                                 "--n-max", "12", *flags])
+        assert code == 2
+        assert out == ""
+        assert "--geometric" in err
+
 
 class TestSelftest:
     def test_reduced_suite_passes(self, capsys):

@@ -28,6 +28,17 @@ def counts4(a, b, c, d):
     return {A: a, B: b, C: c, D: d}
 
 
+class TestAlphabet:
+    def test_symbols_come_from_sequences(self):
+        from spincorr import quantum_numbers
+        from spincorr.sequences import PAIR_OF_ALIAS, alphabet
+
+        assert SYMBOLS8 == alphabet(3)
+        assert [getattr(quantum_numbers, alias) for alias in "ABCD"] == [
+            PAIR_OF_ALIAS[alias] for alias in "ABCD"
+        ]
+
+
 class TestQN4:
     def test_figure_example(self):
         q = qn4_from_counts(counts4(2, 1, 2, 1))

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +52,10 @@ class TestValidation:
             pytest.param(lambda: BitSeq(("1",)), BIT_MESSAGE, id="bit-string"),
             pytest.param(lambda: BitSeq(([0],)), BIT_MESSAGE, id="bit-unhashable"),
             pytest.param(lambda: BitSeq((0, 1, [1])), BIT_MESSAGE, id="bit-unhashable-last"),
+            pytest.param(lambda: BitSeq((0, -1)), BIT_MESSAGE, id="bit-minus-1"),
+            pytest.param(lambda: BitSeq((0, 0.5)), BIT_MESSAGE, id="bit-half"),
+            pytest.param(lambda: BitSeq(((1,),)), BIT_MESSAGE, id="bit-tuple"),
+            pytest.param(lambda: BitSeq((b"\x01",)), BIT_MESSAGE, id="bit-bytes"),
             pytest.param(lambda: CorrSeq(2, ((0, 1, 0),)), SYMBOL_MESSAGE, id="symbol-length"),
             pytest.param(lambda: CorrSeq(2, (([0], 1),)), SYMBOL_MESSAGE,
                          id="symbol-unhashable"),
@@ -72,20 +78,32 @@ class TestValidation:
     def test_accepted_symbols_kept_as_given(self, symbol):
         assert CorrSeq(2, (symbol, [0, 1])).symbols == (symbol, (0, 1))
 
+    # an accepted element after an equal int is stored as an int too
     @pytest.mark.parametrize(
         "make, text, stored",
         [
-            pytest.param(lambda: BitSeq((1.0, 0)), str, lambda s: s.bits, id="bit-float"),
-            pytest.param(lambda: BitSeq((True, 0)), str, lambda s: s.bits, id="bit-bool"),
-            pytest.param(lambda: BitSeq((1, 0j)), str, lambda s: s.bits, id="bit-complex"),
-            pytest.param(lambda: CorrSeq(1, ((1.0,), (0,))), render,
+            pytest.param(lambda: BitSeq((1.0, 0)), "10", lambda s: s.bits, id="bit-float"),
+            pytest.param(lambda: BitSeq((True, 0)), "10", lambda s: s.bits, id="bit-bool"),
+            pytest.param(lambda: BitSeq((1, 0j)), "10", lambda s: s.bits, id="bit-complex"),
+            pytest.param(lambda: BitSeq((0, False)), "00", lambda s: s.bits,
+                         id="bit-false-after-0"),
+            pytest.param(lambda: BitSeq((0, 0.0)), "00", lambda s: s.bits,
+                         id="bit-float-after-0"),
+            pytest.param(lambda: BitSeq((1, 1.0)), "11", lambda s: s.bits,
+                         id="bit-float-after-1"),
+            pytest.param(lambda: BitSeq((1, 1 + 0j)), "11", lambda s: s.bits,
+                         id="bit-complex-after-1"),
+            pytest.param(lambda: CorrSeq(1, ((1.0,), (0,))), "10",
                          lambda s: [b for sym in s.symbols for b in sym], id="symbol-float"),
+            pytest.param(lambda: CorrSeq(2, ((1, 0), (1, 0.0))), "CC",
+                         lambda s: [b for sym in s.symbols for b in sym],
+                         id="symbol-float-after-0"),
         ],
     )
     def test_accepted_elements_stored_as_int(self, make, text, stored):
         seq = make()
-        assert text(seq) == "10"
-        assert [type(b) for b in stored(seq)] == [int, int]
+        assert (str(seq) if isinstance(seq, BitSeq) else render(seq)) == text
+        assert all(type(b) is int for b in stored(seq))
 
 
 class TestCorrelate:
@@ -268,6 +286,20 @@ class TestTextForms:
     )
     def test_round_trip(self, text):
         assert render(parse(text)) == text
+
+    @pytest.mark.parametrize("text", ["AX", "A1"])
+    def test_bad_alias_text_raises_value_error(self, text):
+        with pytest.raises(ValueError) as excinfo:
+            parse(text)
+        assert excinfo.type is ValueError
+        assert repr(text) in str(excinfo.value)
+
+    def test_text_is_the_only_parameter(self):
+        # "01" is read as bits: no order= argument can make it an alias text
+        assert list(inspect.signature(parse).parameters) == ["text"]
+        assert parse("01") == CorrSeq(1, ((0,), (1,)))
+        with pytest.raises(TypeError):
+            parse("01", order=2)
 
     def test_bitseq_round_trip(self):
         assert str(bitseq("100101")) == "100101"
