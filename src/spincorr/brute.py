@@ -13,7 +13,9 @@ import itertools
 import random
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
-from .quantum_numbers import QN8, SYMBOLS8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts
+from .quantum_numbers import (
+    PAIRS, QN8, SYMBOLS8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts,
+)
 from .sequences import BitSeq, CorrSeq, apply_map, check_enum_cap, correlate
 
 PAIR_FIELDS = {
@@ -74,25 +76,15 @@ def witness_triples(n: int, **constraints: int) -> Iterator[Tuple[BitSeq, BitSeq
         raise ValueError(f"unknown constraints: {sorted(unknown)}")
     check_enum_cap(2 ** (3 * n))
     for bits in itertools.product((0, 1), repeat=3 * n):
-        s1 = BitSeq(bits[:n])
-        s0 = BitSeq(bits[n : 2 * n])
-        s2 = BitSeq(bits[2 * n :])
-        pairs = {
-            "10": qn4_of_corrseq(correlate([s1, s0])),
-            "02": qn4_of_corrseq(correlate([s0, s2])),
-            "12": qn4_of_corrseq(correlate([s1, s2])),
-        }
-        ok = True
-        for pair, (fj, fm, fg, fl) in PAIR_FIELDS.items():
-            q = pairs[pair]
-            for name, value in ((fj, q.tj), (fm, q.tm), (fg, q.tg), (fl, q.tl)):
-                if name in constraints and constraints[name] != value:
-                    ok = False
-                    break
-            if not ok:
+        triple = (BitSeq(bits[:n]), BitSeq(bits[n : 2 * n]), BitSeq(bits[2 * n :]))
+        for pair, fields in PAIR_FIELDS.items():
+            i, j = PAIRS[pair]
+            q = qn4_of_corrseq(correlate([triple[i], triple[j]]))
+            values = (q.tj, q.tm, q.tg, q.tl)
+            if any(constraints.get(name, v) != v for name, v in zip(fields, values)):
                 break
-        if ok:
-            yield s1, s0, s2
+        else:
+            yield triple
 
 
 def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> FrozenSet[str]:

@@ -33,7 +33,8 @@ from .selection import allowed_m_pairs, check_projection, check_triangle, g12_ra
 
 class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
     """The known quantum numbers of a decay / composition experiment:
-    an immutable, validated named tuple."""
+    an immutable, validated named tuple.  It holds the closed form's n floor
+    n >= 2(j10 + j02), where the lower bound of g12_range is not negative."""
 
     __slots__ = ()
 
@@ -48,7 +49,8 @@ class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
             raise InvalidQuantumNumberError(
                 "m12 must satisfy -j12 <= m12 <= j12 in integer steps"
             )
-        g12_range(n, tj10, tj02)  # raises ConstraintError below the n floor
+        if g12_range(n, tj10, tj02)[0] < 0:
+            raise ConstraintError(f"n = {n} is below 2(j10 + j02) = {tj10 + tj02}")
         if n < 1:
             raise InvalidQuantumNumberError("n must be positive")
         return super().__new__(cls, n, tj10, tj02, tj12, tm12)

@@ -30,10 +30,15 @@ A, B, C, D = (PAIR_OF_ALIAS[alias] for alias in "ABCD")
 
 SYMBOLS8 = alphabet(3)
 
+# each pair's two positions, both in a base-8 symbol and in a triple (s1, s0, s2)
+PAIRS = {"10": (0, 1), "02": (1, 2), "12": (0, 2)}
+
 
 @dataclass(frozen=True)
 class QN4:
-    """Quantum numbers of one base-4 sequence, as doubled integers."""
+    """Quantum numbers of one base-4 sequence, as doubled integers; j and g
+    are nonnegative, and (j, m) and (g, l) pass check_projection, which
+    makes the four counts nonnegative integers."""
 
     tj: int
     tm: int
@@ -44,14 +49,10 @@ class QN4:
         for tv, name in ((self.tj, "j"), (self.tg, "g")):
             if tv < 0:
                 raise InvalidQuantumNumberError(f"{name} must be nonnegative")
-        if not -self.tj <= self.tm <= self.tj:
-            raise InvalidQuantumNumberError("m must satisfy -j <= m <= j")
-        if not -self.tg <= self.tl <= self.tg:
-            raise InvalidQuantumNumberError("l must satisfy -g <= l <= g")
-        if (self.tj + self.tm) % 2 or (self.tg + self.tl) % 2:
-            raise InvalidQuantumNumberError(
-                "j+-m and g+-l must be integers (counts are integral)"
-            )
+        if not check_projection(self.tj, self.tm):
+            raise InvalidQuantumNumberError("m must satisfy -j <= m <= j in integer steps")
+        if not check_projection(self.tg, self.tl):
+            raise InvalidQuantumNumberError("l must satisfy -g <= l <= g in integer steps")
 
     @property
     def n(self) -> int:
@@ -231,9 +232,8 @@ def qn8_of_corrseq(c: CorrSeq) -> QN8:
 
 def pair_counts4(c8: Counts8, pair: str) -> Counts4:
     """Project base-8 counts onto one of the index pairs "10", "02", "12"."""
-    slices = {"10": (0, 1), "02": (1, 2), "12": (0, 2)}
     try:
-        i, j = slices[pair]
+        i, j = PAIRS[pair]
     except KeyError:
         raise ValueError(f"unknown index pair {pair!r}") from None
     out: Counts4 = {A: 0, B: 0, C: 0, D: 0}

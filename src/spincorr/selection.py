@@ -35,11 +35,9 @@ def j12_range(tj10: int, tj02: int) -> List[int]:
 
 
 def g12_range(n: int, tj10: int, tj02: int) -> Tuple[int, int]:
-    """Bounds n/2 - j10 - j02 <= g12 <= n/2 - |j10 - j02|."""
-    if n < tj10 + tj02:
-        raise ConstraintError(
-            f"n = {n} is below 2(j10 + j02) = {tj10 + tj02}"
-        )
+    """Bounds n/2 - j10 - j02 <= g12 <= n/2 - |j10 - j02| at every n: with
+    g12 = n/2 - j12 they are the triangle rule.  Below the closed form's n
+    floor 2(j10 + j02) the lower bound is negative; Priors rejects such n."""
     return n - tj10 - tj02, n - abs(tj10 - tj02)
 
 

@@ -22,7 +22,7 @@ from .quantum_numbers import (
     QN8, A, B, C, D, counts4_from_qn4, f_factor, phi, qn4_from_counts,
     qn4_of_corrseq,
 )
-from .selection import allowed_m_pairs, check_triangle, j12_range
+from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
 from .sequences import BitSeq, correlate
 
 
@@ -56,6 +56,7 @@ def check_random_triples(n_values: List[int], trials: int, rng: random.Random) -
             q10 = qn4_of_corrseq(correlate([s1, s0]))
             q02 = qn4_of_corrseq(correlate([s0, s2]))
             q12 = qn4_of_corrseq(correlate([s1, s2]))
+            lo, hi = g12_range(n, q10.tj, q02.tj)
             checks = [
                 ("n identity", q10.n == n and q02.n == n and q12.n == n),
                 ("m12 = m10 + m02", q12.tm == q10.tm + q02.tm),
@@ -63,10 +64,7 @@ def check_random_triples(n_values: List[int], trials: int, rng: random.Random) -
                 ("l12 = l10 + m02", q12.tl == q10.tl + q02.tm),
                 ("l12 = l02 - m10", q12.tl == q02.tl - q10.tm),
                 ("j triangle", check_triangle(q10.tj, q02.tj, q12.tj)),
-                (
-                    "g range",
-                    n - q10.tj - q02.tj <= q12.tg <= n - abs(q10.tj - q02.tj),
-                ),
+                ("g range", lo <= q12.tg <= hi),
             ]
             for name, ok in checks:
                 if not ok:

@@ -22,6 +22,7 @@ ENUM_CAP = 1 << 24
 
 ALIAS_OF_PAIR = {(0, 0): "A", (1, 1): "B", (1, 0): "C", (0, 1): "D"}
 PAIR_OF_ALIAS = {v: k for k, v in ALIAS_OF_PAIR.items()}
+_BIT_OF_CHAR = {"0": 0, "1": 1}
 
 
 def _bit_tuple(items) -> Tuple[int, ...] | None:
@@ -66,7 +67,12 @@ class BitSeq:
 
     @classmethod
     def from_string(cls, text: str) -> "BitSeq":
-        return cls(tuple(int(ch) for ch in text.strip()))
+        """Read a non-empty text of 0s and 1s; any other text raises a plain
+        ValueError that names it."""
+        try:
+            return cls(tuple(_BIT_OF_CHAR[ch] for ch in text.strip()))
+        except (KeyError, ValueError):
+            raise ValueError(f"a bit sequence is written in 0 and 1 only: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -190,20 +196,17 @@ def render(c: CorrSeq) -> str:
 
 
 def parse(text: str) -> CorrSeq:
-    """Parse the forms produced by :func:`render`."""
-    text = text.strip()
-    if "," in text:
-        symbols = tuple(
-            tuple(int(ch) for ch in chunk.strip()) for chunk in text.split(",")
-        )
+    """Parse the forms produced by :func:`render`; any other text raises a
+    plain ValueError that names it."""
+    stripped = text.strip()
+    try:
+        if stripped[:1] in PAIR_OF_ALIAS:
+            return CorrSeq(order=2, symbols=tuple(PAIR_OF_ALIAS[ch] for ch in stripped))
+        # bit groups between commas, or one bit per group without a comma
+        groups = stripped.split(",") if "," in stripped else stripped
+        symbols = tuple(tuple(_BIT_OF_CHAR[ch] for ch in group.strip()) for group in groups)
         return CorrSeq(order=len(symbols[0]), symbols=symbols)
-    if text[:1] in PAIR_OF_ALIAS:
-        try:
-            symbols = tuple(PAIR_OF_ALIAS[ch] for ch in text)
-        except KeyError:
-            raise ValueError(
-                f"an order-2 sequence is written in A, B, C and D only: {text!r}"
-            ) from None
-        return CorrSeq(order=2, symbols=symbols)
-    symbols = tuple((int(ch),) for ch in text)
-    return CorrSeq(order=1, symbols=symbols)
+    except (LookupError, ValueError):
+        raise ValueError(
+            f"not a sequence in 0/1, A/B/C/D or comma-separated bit groups: {text!r}"
+        ) from None

@@ -304,6 +304,20 @@ class TestSelftest:
         ]
         assert rng.getrandbits(64) == 4468039937841269444
 
+    def test_random_triples_g_range_asks_selection(self, monkeypatch):
+        """The "g range" line takes its bounds from selection.g12_range: with
+        an empty range it fails for every triple drawn, the same triples as
+        in the pinned test above while n = 4."""
+        from spincorr import selftest
+
+        monkeypatch.setattr(selftest, "g12_range", lambda n, tj10, tj02: (1, 0))
+        assert selftest.check_random_triples([4, 16], 2, random.Random(7)) == [
+            "g range failed at n=4 for (1010, 0010, 0001)",
+            "g range failed at n=4 for (1000, 1000, 0100)",
+            "g range failed at n=16 for (0011001000100001, 1111110000111110, 0101011001111100)",
+            "g range failed at n=16 for (1100111110110010, 0100111001110111, 1100000000101100)",
+        ]
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self):

@@ -80,3 +80,16 @@ def test_bare_import_loads_no_submodule_until_asked():
                           text=True, timeout=30, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]", "spincorr.cg spincorr.pathcount"]
+
+
+def test_selection_is_a_leaf():
+    # the spin rules import nothing of the package but its errors, so every
+    # module, the table path included, can call them
+    script = (
+        "import sys, spincorr.selection\n"
+        "print(sorted(m for m in sys.modules if m.startswith('spincorr.')))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["['spincorr.errors', 'spincorr.selection']"]

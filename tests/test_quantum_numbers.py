@@ -19,6 +19,7 @@ from spincorr.quantum_numbers import (
     qn8_from_counts,
     qn8_of_corrseq,
 )
+from spincorr.selection import check_projection
 from spincorr.sequences import BitSeq, CorrSeq, correlate
 
 A, B, C, D = (0, 0), (1, 1), (1, 0), (0, 1)
@@ -66,6 +67,15 @@ class TestQN4:
     def test_parity_mismatch_rejected(self):
         with pytest.raises(InvalidQuantumNumberError):
             QN4(tj=2, tm=1, tg=2, tl=0)
+
+    def test_accepts_exactly_the_projection_rule(self):
+        for tj, tm, tg, tl in itertools.product(range(-3, 4), repeat=4):
+            if check_projection(tj, tm) and check_projection(tg, tl):
+                q = QN4(tj, tm, tg, tl)
+                assert (q.tj, q.tm, q.tg, q.tl) == (tj, tm, tg, tl)
+            else:
+                with pytest.raises(InvalidQuantumNumberError):
+                    QN4(tj, tm, tg, tl)
 
     @given(
         parts=st.tuples(*(st.integers(min_value=0, max_value=20),) * 4)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spincorr.brute import witness_triples
 from spincorr.errors import ConstraintError
@@ -64,8 +65,23 @@ class TestG12Range:
         assert g12_range(2 * tj, tj, tj) == (0, 2 * tj)
 
     def test_too_small_n(self):
-        with pytest.raises(ConstraintError):
-            g12_range(4, 3, 2)
+        # below the n floor 2(j10 + j02) the bounds hold all the same; the
+        # floor is Priors' to enforce
+        assert g12_range(4, 3, 2) == (-1, 3)
+
+    @given(
+        st.integers(min_value=1, max_value=24).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=3 * n, max_size=3 * n)
+        )
+    )
+    def test_measured_g12_in_range_at_every_n(self, bits):
+        # random triples sit below the n floor of the closed form all the time
+        n = len(bits) // 3
+        s1, s0, s2 = (BitSeq(tuple(bits[i : i + n])) for i in (0, n, 2 * n))
+        q10 = qn4_of_corrseq(correlate([s1, s0]))
+        q02 = qn4_of_corrseq(correlate([s0, s2]))
+        lo, hi = g12_range(n, q10.tj, q02.tj)
+        assert lo <= qn4_of_corrseq(correlate([s1, s2])).tg <= hi
 
 
 class TestConstrainedBounds:

@@ -287,10 +287,11 @@ class TestTextForms:
     def test_round_trip(self, text):
         assert render(parse(text)) == text
 
-    @pytest.mark.parametrize("text", ["AX", "A1"])
-    def test_bad_alias_text_raises_value_error(self, text):
+    @pytest.mark.parametrize("read", [parse, BitSeq.from_string], ids=["parse", "from_string"])
+    @pytest.mark.parametrize("text", ["AX", "A1", "1x", "1A", "1,", "0,01", "10,1x"])
+    def test_bad_text_raises_value_error_naming_it(self, read, text):
         with pytest.raises(ValueError) as excinfo:
-            parse(text)
+            read(text)
         assert excinfo.type is ValueError
         assert repr(text) in str(excinfo.value)
 
