@@ -18,11 +18,7 @@ from .quantum_numbers import (
 )
 from .sequences import BitSeq, CorrSeq, apply_map, check_enum_cap, correlate
 
-PAIR_FIELDS = {
-    "10": ("tj10", "tm10", "tg10", "tl10"),
-    "02": ("tj02", "tm02", "tg02", "tl02"),
-    "12": ("tj12", "tm12", "tg12", "tl12"),
-}
+PAIR_FIELDS = {pair: tuple(f"t{q}{pair}" for q in "jmgl") for pair in PAIRS}
 
 
 def enumerate_base8_counts(n: int) -> Dict[tuple, int]:
@@ -55,11 +51,9 @@ def phi_by_enumeration(q: QN8) -> int:
     """Count order-3 sequences whose measured quantum numbers equal q."""
     if counts8_from_qn8(q) is None:
         return 0
-    target = (q.n, q.tj10, q.tj02, q.tm10, q.tm02, q.tj12, q.tl12, q.k)
     total = 0
     for key, multiplicity in enumerate_base8_counts(q.n).items():
-        m = counts_key_to_qn8(key)
-        if (m.n, m.tj10, m.tj02, m.tm10, m.tm02, m.tj12, m.tl12, m.k) == target:
+        if counts_key_to_qn8(key) == q:
             total += multiplicity
     return total
 

@@ -7,6 +7,7 @@ constraint violation.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -24,12 +25,9 @@ EXIT_CONSTRAINT = 3
 
 SPIN_KEYS = ("j1", "j2", "J", "M")
 SPIN_FLAGS = tuple(f"--{key}" for key in SPIN_KEYS)
-
-PROB_COLUMNS = ["n", "j1", "j2", "J", "M", "m1", "m2", "p_num", "p_den", "p_decimal"]
-CG_COLUMNS = ["j1", "j2", "J", "M", "m1", "m2", "cg2_num", "cg2_den", "cg2_decimal"]
-CONVERGE_COLUMNS = PROB_COLUMNS + [
-    "cg2_num", "cg2_den", "cg2_decimal", "delta_num", "delta_den", "delta_decimal",
-]
+# rendering costs time quadratic in the digit count; 4300 is also the
+# interpreter's default limit on the digits of an int printed as text
+MAX_DIGITS = 4300
 
 
 def _fail(code: int, message: str) -> int:
@@ -37,7 +35,8 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _emit(rows: List[Dict], columns: List[str], args, command: str) -> None:
+def _emit(rows: List[Dict], args, command: str) -> None:
+    """Print rows, never empty, as JSON or as CSV headed by the first row's keys."""
     # json and csv are imported here: a request needs only the one it asked for
     if args.format == "json":
         import json
@@ -55,7 +54,7 @@ def _emit(rows: List[Dict], columns: List[str], args, command: str) -> None:
     else:
         import csv
 
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -92,7 +91,7 @@ def cmd_prob(args) -> int:
     tj, spins = _spins(args)
     table = probability_table(Priors(args.n, *tj))
     rows = [_row(spins, tm1, tm2, args.digits, n=args.n, p=p) for tm1, tm2, p in table]
-    _emit(rows, PROB_COLUMNS, args, "prob")
+    _emit(rows, args, "prob")
     return EXIT_OK
 
 
@@ -102,7 +101,7 @@ def cmd_cg(args) -> int:
         _row(spins, tm1, tm2, args.digits, cg2=cg_squared(tj1, tj2, tm1, tm2, tJ, tM))
         for tm1, tm2 in allowed_m_pairs(tj1, tj2, tM)
     ]
-    _emit(rows, CG_COLUMNS, args, "cg")
+    _emit(rows, args, "cg")
     return EXIT_OK
 
 
@@ -129,7 +128,7 @@ def cmd_converge(args) -> int:
         _row(spins, r.tm10, r.tm02, args.digits, n=r.n, p=r.p, cg2=r.cg2, delta=r.delta)
         for r in scan_rows
     ]
-    _emit(rows, CONVERGE_COLUMNS, args, "converge")
+    _emit(rows, args, "converge")
     return EXIT_OK
 
 
@@ -141,14 +140,36 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_SELFTEST
 
 
+def _integer(text: str) -> int:
+    """argparse type of every integer flag: stripped of whitespace, the text
+    matches -?[0-9]+, where int() alone would also read "+1", "1_0" and
+    digits of other scripts."""
+    try:
+        if re.fullmatch(r"-?[0-9]+", text.strip()):
+            return int(text)
+    except ValueError:  # more digits than the interpreter's int-to-str limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _count(text: str) -> int:
     """argparse type of every count flag: an integer >= 1."""
     try:
-        value = int(text)
-    except ValueError:
+        value = _integer(text)
+    except argparse.ArgumentTypeError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _digits(text: str) -> int:
+    """argparse type of --digits: a count of at most MAX_DIGITS."""
+    value = _count(text)
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 1 to {MAX_DIGITS}, got {text!r}"
+        )
     return value
 
 
@@ -166,7 +187,7 @@ def _join_negative_spins(argv: List[str]) -> List[str]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--digits", type=_count, default=6,
+    parser.add_argument("--digits", type=_digits, default=6,
                         help="decimal digits for rendered values")
 
 
@@ -197,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="|P - CG^2| versus sequence length")
     _add_jjjm(p)
     p.add_argument("--n-start", type=_count, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_integer, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--geometric", action="store_true", help="double n each step")
     group.add_argument("--step", type=_count, default=1)
@@ -205,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("selftest", help="run the built-in verification suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--n-max", type=_count, default=None,
                    help="cap for enumeration (default 6) and sampling (default 64)")
     p.set_defaults(func=cmd_selftest)
@@ -216,12 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_negative_spins(argv))
+    # p and CG^2 are exact integers of any size, so the interpreter's limit on
+    # the digits of an int printed as text is lifted, but only once the flag
+    # text is parsed, and only where the interpreter has the limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InvalidQuantumNumberError as exc:
         return _fail(EXIT_MALFORMED, str(exc))
     except ConstraintError as exc:
         return _fail(EXIT_CONSTRAINT, str(exc))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

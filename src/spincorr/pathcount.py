@@ -92,10 +92,11 @@ def _weight(priors: Priors, tm10: int, tm02: int) -> int:
     weight is c10! d10! c02! d02! sum_s (-1)^s (2 if s else 1) R_s A_s.
 
     Every weight is positive, so every table is a probability distribution:
-    1. The raw lattice sum of selftest.upsilon_full_lattice is f_a f_b times
+    1. The raw lattice sum is f_a f_b times
        sum_(k_a, k_b) (-1)^(k_a + k_b) sum_l12 phi(k_a, l12) phi(k_b, l12)
-       = sum_l12 (sum_k (-1)^k phi(k, l12))^2 >= 0, and the weight is the
-       raw sum divided by the positive factor above.
+       = sum_l12 (sum_k (-1)^k phi(k, l12))^2 >= 0, the sum of squares that
+       selftest.upsilon_full_lattice computes, and the weight is the raw sum
+       divided by the positive factor above.
     2. At l12 = k_min + j12 - n/2 the (000) count is k_min - k and the (111)
        count G + k - k_min, with G >= 0 as n >= 2(j10 + j02).  So phi vanishes
        above k_min, and below it, where k, k - x + c10 or k - x + d02 is < 0;

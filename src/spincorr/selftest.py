@@ -128,26 +128,22 @@ def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
     """Reference path count: scan the whole (k, l12) rectangle, letting
     invalid lattice points contribute zero, with no precomputed bounds.
 
-    phi is evaluated once at every lattice point, then the sum runs over
-    every (k_a, k_b) pair of rows of those values.
+    phi is evaluated once at every lattice point, and the sum is the one
+    step 1 of the proof in pathcount._weight gives: f_a f_b times the sum
+    over l12 of (sum_k (-1)^k phi(k, l12))^2.
     """
     f_a = f_factor(priors.n, priors.tj10, tm10)
     f_b = f_factor(priors.n, priors.tj02, tm02)
     # crude but safe cap: k is a count bounded by both 2j10 and 2j02
     k_hi = min(priors.tj10, priors.tj02)
-    rows = [
-        [
-            phi(QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
-                    priors.tj12, tl12, k))
-            for tl12 in range(-priors.n, priors.n + 1)
-        ]
-        for k in range(0, k_hi + 1)
-    ]
-    total = 0
-    for k_a, row_a in enumerate(rows):
-        for k_b, row_b in enumerate(rows):
-            sign = -1 if (k_b - k_a) % 2 else 1
-            total += sign * sum(pa * pb for pa, pb in zip(row_a, row_b))
+    total = sum(
+        sum(
+            (-1) ** k * phi(QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
+                                priors.tj12, tl12, k))
+            for k in range(0, k_hi + 1)
+        ) ** 2
+        for tl12 in range(-priors.n, priors.n + 1)
+    )
     return f_a * f_b * total
 
 

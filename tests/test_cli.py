@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -436,9 +437,12 @@ def test_golden_stdout(argv, code, digest):
 SPINS_1_1_1_0 = ["--j1", "1", "--j2", "1", "--J", "1", "--M", "0"]
 HALF_SPINS_NEG_M = ["--j1", "1/2", "--j2", "1", "--J", "1/2", "--M", "-1/2"]
 
+SPINS_50 = ["--j1", "50", "--j2", "50", "--J", "50", "--M", "0"]
+N_GOOGOL = str(10**100)
+
 # argv, exit code, stderr fragment, run in a subprocess (for
-# requests that once never returned).  Every request that succeeds asks for
-# JSON, which must validate against the schema.
+# requests that once never returned).  A request that succeeds in JSON must
+# validate against the schema; one in CSV must give rows as wide as its header.
 REGRESSIONS = [
     pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "2", "--n-max", "8",
                   "--step", "0"], 2, "--step", True, id="converge-step-0"),
@@ -482,7 +486,43 @@ REGRESSIONS = [
     pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "4", "--n-max", "1048576",
                   "--geometric", "--format", "json"], 0, "", True,
                  id="converge-geometric-to-2-pow-20"),
+    # exact integers longer than the interpreter's int-to-str limit print
+    pytest.param(["cg", "--j1", "1", "--j2", "1", "--J", "2", "--M", "2", "--digits", "4300",
+                  "--format", "json"], 0, "", False, id="cg-digits-4300"),
+    pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0, "--digits", "4301"], 2, "--digits",
+                 False, id="prob-digits-4301"),
+    pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0, "--digits", "5000"], 2, "--digits",
+                 False, id="prob-digits-5000"),
+    pytest.param(["prob", "--n", N_GOOGOL, *SPINS_50], 0, "", False, id="prob-n-googol-csv"),
+    pytest.param(["prob", "--n", N_GOOGOL, *SPINS_50, "--format", "json"], 0, "", False,
+                 id="prob-n-googol-json"),
+    # numbers only in the notation of the README and the schema
+    pytest.param(["prob", "--n", "6", "--j1", "1_0", "--j2", "1", "--J", "1", "--M", "0"],
+                 2, "not a half-integer", False, id="spin-underscore"),
+    pytest.param(["prob", "--n", "6", "--j1", "\u0661", "--j2", "1", "--J", "1", "--M", "0"],
+                 2, "not a half-integer", False, id="spin-arabic-indic-digit"),
+    pytest.param(["prob", "--n", "6", *HALF_SPINS_NEG_M[:6], "--M", "1/0_2"],
+                 2, "not a half-integer", False, id="spin-underscore-in-denominator"),
+    pytest.param(["prob", "--n", "6", "--j1", "+1", "--j2", "1", "--J", "1", "--M", "0"],
+                 2, "not a half-integer", False, id="spin-plus-sign"),
+    pytest.param(["prob", "--n", "1_0", *SPINS_1_1_1_0], 2, "--n", False,
+                 id="n-underscore"),
+    pytest.param(["selftest", "--seed", "\u0663", "--n-max", "2"], 2, "--seed", False,
+                 id="seed-arabic-indic-digit"),
+    pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "2", "--n-max", "1_0"], 2,
+                 "--n-max", False, id="converge-n-max-underscore"),
 ]
+
+
+@contextlib.contextmanager
+def int_digits_unlimited():
+    """Lift the interpreter's limit on the digits of an int read from text."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def invoke(argv):
@@ -506,14 +546,20 @@ def test_regression(argv, code, fragment, isolated):
         )
         got, out, err = done.returncode, done.stdout, done.stderr
     else:
+        limit = sys.get_int_max_str_digits()
         got, out, err = invoke(argv)
+        assert sys.get_int_max_str_digits() == limit
     assert got == code
     assert fragment in err
     assert "Traceback" not in err
-    if code == 0:
-        jsonschema.validate(json.loads(out), load_schema())
-    else:
+    if code != 0:
         assert out == ""
+    elif "json" in argv:
+        with int_digits_unlimited():
+            jsonschema.validate(json.loads(out), load_schema())
+    else:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_cg_even_over_two_means_integer(capsys):

@@ -9,6 +9,7 @@ import pytest
 import spincorr
 
 SRC = str(Path(spincorr.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTS = [
     "cg_squared", "convergence_scan",
@@ -93,3 +94,34 @@ def test_selection_is_a_leaf():
                           text=True, timeout=30, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["['spincorr.errors', 'spincorr.selection']"]
+
+
+GUARDED_SESSION = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x is None
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_leaves_the_session_running(tmp_path):
+    # the repository's warning filters turn warnings into errors; one that a
+    # plugin emits while reporting a failed hypothesis test must not abort
+    # the session and hide the results after it
+    (tmp_path / "test_guarded.py").write_text(GUARDED_SESSION)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q", "test_guarded.py"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    report = done.stdout + done.stderr
+    assert done.returncode == 1, report
+    assert "INTERNALERROR" not in report
+    assert "1 failed, 1 passed" in done.stdout, report
