@@ -18,16 +18,7 @@ from typing import Iterable, List, Tuple
 
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .pathcount import Priors, probability_table
-from .selection import check_projection, check_triangle
-
-
-def _check_jm(tj: int, tm: int, label: str) -> None:
-    if tj < 0:
-        raise InvalidQuantumNumberError(f"{label}: j must be nonnegative")
-    if not check_projection(tj, tm):
-        raise InvalidQuantumNumberError(
-            f"{label}: m must satisfy -j <= m <= j in integer steps"
-        )
+from .selection import check_triangle, require_projection
 
 
 def cg_squared(tj1: int, tj2: int, tm1: int, tm2: int, tJ: int, tM: int) -> Fraction:
@@ -36,9 +27,9 @@ def cg_squared(tj1: int, tj2: int, tm1: int, tm2: int, tJ: int, tM: int) -> Frac
     Arguments are doubled integers.  Selection-rule violations give exact 0;
     malformed quantum numbers raise.
     """
-    _check_jm(tj1, tm1, "(j1, m1)")
-    _check_jm(tj2, tm2, "(j2, m2)")
-    _check_jm(tJ, tM, "(J, M)")
+    require_projection(tj1, tm1, "m1", "j1")
+    require_projection(tj2, tm2, "m2", "j2")
+    require_projection(tJ, tM, "M", "J")
     if tm1 + tm2 != tM or not check_triangle(tj1, tj2, tJ):
         return Fraction(0)
 

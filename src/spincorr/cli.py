@@ -10,13 +10,13 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .cg import cg_squared, convergence_scan, decimal_string
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .halfint import format_half_integer, parse_half_integer
 from .pathcount import Priors, probability_table
-from .selection import allowed_m_pairs, check_projection, check_triangle
+from .selection import allowed_m_pairs, check_triangle, require_projection
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -28,6 +28,8 @@ SPIN_FLAGS = tuple(f"--{key}" for key in SPIN_KEYS)
 # rendering costs time quadratic in the digit count; 4300 is also the
 # interpreter's default limit on the digits of an int printed as text
 MAX_DIGITS = 4300
+# a converge scan prints one table per length; 10,000 at j = 1 take seconds
+MAX_SCAN_LENGTH = 10_000
 
 
 def _fail(code: int, message: str) -> int:
@@ -70,8 +72,7 @@ def _spins(args) -> Tuple[Tuple[int, int, int, int], Dict[str, str]]:
         raise InvalidQuantumNumberError(
             "triangle rule violated: |j1 - j2| <= J <= j1 + j2 with integer perimeter"
         )
-    if not check_projection(tJ, tM):
-        raise InvalidQuantumNumberError("M must satisfy -J <= M <= J in integer steps")
+    require_projection(tJ, tM, "M", "J")
     return tj, {key: format_half_integer(t) for key, t in zip(SPIN_KEYS, tj)}
 
 
@@ -105,13 +106,13 @@ def cmd_cg(args) -> int:
     return EXIT_OK
 
 
-def _n_values(args) -> List[int]:
-    values = []
-    n = args.n_start
-    while n <= args.n_max:
-        values.append(n)
-        n = n * 2 if args.geometric else n + args.step
-    return values
+def _n_values(args) -> Sequence[int]:
+    """The scan's lengths from --n-start to --n-max, doubling or stepping,
+    in closed form: a long stepping scan is a range, never a list."""
+    if args.geometric:
+        doublings = max(0, args.n_max // args.n_start).bit_length()
+        return [args.n_start << k for k in range(doublings)]
+    return range(args.n_start, args.n_max + 1, args.step)
 
 
 def cmd_converge(args) -> int:
@@ -119,7 +120,11 @@ def cmd_converge(args) -> int:
         # a doubling scan has no step; its JSON params echo step 0
         args.step = 0
     tj, spins = _spins(args)
-    scan_rows, skipped = convergence_scan(*tj, _n_values(args))
+    n_values = _n_values(args)
+    # sliced, not len(): a range longer than sys.maxsize has no len()
+    if n_values[MAX_SCAN_LENGTH:]:
+        return _fail(EXIT_MALFORMED, f"a converge scan takes at most {MAX_SCAN_LENGTH} lengths")
+    scan_rows, skipped = convergence_scan(*tj, n_values)
     for n, reason in skipped:
         print(f"warning: n={n} skipped: {reason}", file=sys.stderr)
     if not scan_rows:

@@ -28,7 +28,7 @@ from typing import List, Tuple
 
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .halfint import format_half_integer
-from .selection import allowed_m_pairs, check_projection, check_triangle, g12_range
+from .selection import allowed_m_pairs, check_triangle, g12_range, require_projection
 
 
 class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
@@ -45,10 +45,7 @@ class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
                 "with integer perimeter, got j10=%s j02=%s j12=%s"
                 % tuple(format_half_integer(t) for t in (tj10, tj02, tj12))
             )
-        if not check_projection(tj12, tm12):
-            raise InvalidQuantumNumberError(
-                "m12 must satisfy -j12 <= m12 <= j12 in integer steps"
-            )
+        require_projection(tj12, tm12, "m12", "j12")
         if g12_range(n, tj10, tj02)[0] < 0:
             raise ConstraintError(f"n = {n} is below 2(j10 + j02) = {tj10 + tj02}")
         if n < 1:

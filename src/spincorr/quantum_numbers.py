@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import InvalidQuantumNumberError
 from .halfint import format_half_integer
-from .selection import check_projection
+from .selection import require_projection
 from .sequences import PAIR_OF_ALIAS, CorrSeq, alphabet, count_symbols
 
 Counts4 = Dict[Tuple[int, int], int]
@@ -36,9 +36,9 @@ PAIRS = {"10": (0, 1), "02": (1, 2), "12": (0, 2)}
 
 @dataclass(frozen=True)
 class QN4:
-    """Quantum numbers of one base-4 sequence, as doubled integers; j and g
-    are nonnegative, and (j, m) and (g, l) pass check_projection, which
-    makes the four counts nonnegative integers."""
+    """Quantum numbers of one base-4 sequence, as doubled integers; (j, m)
+    and (g, l) pass check_projection, which makes j and g nonnegative and
+    the four counts nonnegative integers."""
 
     tj: int
     tm: int
@@ -46,13 +46,8 @@ class QN4:
     tl: int
 
     def __post_init__(self):
-        for tv, name in ((self.tj, "j"), (self.tg, "g")):
-            if tv < 0:
-                raise InvalidQuantumNumberError(f"{name} must be nonnegative")
-        if not check_projection(self.tj, self.tm):
-            raise InvalidQuantumNumberError("m must satisfy -j <= m <= j in integer steps")
-        if not check_projection(self.tg, self.tl):
-            raise InvalidQuantumNumberError("l must satisfy -g <= l <= g in integer steps")
+        require_projection(self.tj, self.tm)
+        require_projection(self.tg, self.tl, "l", "g")
 
     @property
     def n(self) -> int:
@@ -215,8 +210,7 @@ def f_factor(n: int, tj: int, tm: int) -> Fraction:
     The same formula serves both observers; only (j, m) differ.  An oracle,
     like phi: selftest.upsilon_full_lattice weighs its lattice sum with it.
     """
-    if not check_projection(tj, tm):
-        raise InvalidQuantumNumberError("f_factor needs -j <= m <= j in integer steps")
+    require_projection(tj, tm)
     if tj > n:
         raise InvalidQuantumNumberError(f"2j = {tj} exceeds n = {n}")
     c = (tj + tm) // 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Tuple
 
-from .errors import ConstraintError
+from .errors import ConstraintError, InvalidQuantumNumberError
 
 if TYPE_CHECKING:
     from .quantum_numbers import QN4
@@ -29,6 +29,13 @@ def check_projection(tj: int, tm: int) -> bool:
     return abs(tm) <= tj and (tj + tm) % 2 == 0
 
 
+def require_projection(tj: int, tm: int, m: str = "m", j: str = "j") -> None:
+    """Raise InvalidQuantumNumberError, naming m and j, unless check_projection
+    holds: the one raise site of the projection rule."""
+    if not check_projection(tj, tm):
+        raise InvalidQuantumNumberError(f"{m} must satisfy -{j} <= {m} <= {j} in integer steps")
+
+
 def j12_range(tj10: int, tj02: int) -> List[int]:
     """Admissible j12 values in unit steps, for unconstrained n."""
     return list(range(abs(tj10 - tj02), tj10 + tj02 + 1, 2))
@@ -41,7 +48,7 @@ def g12_range(n: int, tj10: int, tj02: int) -> Tuple[int, int]:
     return n - tj10 - tj02, n - abs(tj10 - tj02)
 
 
-def j12_bounds_constrained(q10: QN4, q02: QN4, n: int) -> Tuple[int, int]:
+def j12_bounds_constrained(q10: QN4, q02: QN4) -> Tuple[int, int]:
     """Overlap-forced j12 bounds from the full count capacities.
 
     Each forced overlap of a C/D element from one relation with the
@@ -53,10 +60,8 @@ def j12_bounds_constrained(q10: QN4, q02: QN4, n: int) -> Tuple[int, int]:
     # sequence-level modules
     from .quantum_numbers import A, B, C, D, counts4_from_qn4
 
-    if q10.n != n or q02.n != n:
-        raise ConstraintError(
-            f"relations disagree on n: {q10.n}, {q02.n} (expected {n})"
-        )
+    if q10.n != q02.n:
+        raise ConstraintError(f"relations disagree on n: {q10.n}, {q02.n}")
     c10 = counts4_from_qn4(q10)
     c02 = counts4_from_qn4(q02)
     tj_sum = q10.tj + q02.tj

@@ -26,14 +26,14 @@ from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
 from .sequences import BitSeq, correlate
 
 
-def check_phi_equivalence(enum_n_max: int, phi_fn: Callable[[QN8], int]) -> List[str]:
+def check_phi_equivalence(enum_n_max: int) -> List[str]:
     """phi agrees with one-pass enumeration over the full grid at small n."""
     problems = []
     for n in range(1, enum_n_max + 1):
         bins = brute.enumerate_base8_counts(n)
         for key, observed in bins.items():
             q = brute.counts_key_to_qn8(key)
-            predicted = phi_fn(q)
+            predicted = phi(q)
             if predicted != observed:
                 problems.append(
                     f"phi_by_enumeration mismatch at n={n}: counts {key} "
@@ -218,11 +218,7 @@ def _run_beside(forked: List[Check], here: List[Check]) -> List[Result]:
     return results + marshal.loads(data)
 
 
-def run_selftest(
-    seed: int = 0,
-    n_max: Optional[int] = None,
-    phi_fn: Optional[Callable[[QN8], int]] = None,
-) -> bool:
+def run_selftest(seed: int = 0, n_max: Optional[int] = None) -> bool:
     """Run every check; print the seed and one line per check to stdout,
     then each check's time to stderr.
 
@@ -233,7 +229,6 @@ def run_selftest(
     and stdout as they are.  Nothing is printed before every check is done.
     """
     rng = random.Random(seed)
-    phi_fn = phi_fn or phi
     enum_n_max, triple_n_max = n_max or 6, n_max or 64
     triple_ns = [n for n in (4, 16, 64) if n <= triple_n_max] or [max(2, triple_n_max)]
     map_n = min(32, triple_n_max)
@@ -245,7 +240,7 @@ def run_selftest(
         (
             "phi_by_enumeration equivalence",
             False,
-            lambda: check_phi_equivalence(min(enum_n_max, 6), phi_fn),
+            lambda: check_phi_equivalence(min(enum_n_max, 6)),
         ),
         (
             "random-triple selection rules",

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spincorr
-from spincorr.cli import main
+from spincorr.cli import _n_values, main
 
 SRC = str(Path(spincorr.__file__).resolve().parents[1])
 
@@ -179,6 +181,19 @@ class TestConverge:
             ("n_start", 6), ("n_max", 12), ("geometric", True), ("step", 0), ("digits", 6),
         ]
 
+    def test_n_values_match_the_stepping_loop(self):
+        """The closed forms give the lengths that doubling or stepping n from
+        --n-start while n <= --n-max gives."""
+        for n_start, n_max in itertools.product(range(1, 70), range(-5, 300)):
+            for geometric, step in [(True, 0)] + [(False, s) for s in (1, 2, 3, 7, 64)]:
+                expected, n = [], n_start
+                while n <= n_max:
+                    expected.append(n)
+                    n = n * 2 if geometric else n + step
+                args = argparse.Namespace(n_start=n_start, n_max=n_max,
+                                          geometric=geometric, step=step)
+                assert list(_n_values(args)) == expected, (n_start, n_max, geometric, step)
+
     @pytest.mark.parametrize("flags", [["--geometric=1"], ["--geometric", "--step", "2"]])
     def test_geometric_takes_no_value_and_no_step(self, flags):
         code, out, err = invoke(["converge", *SPINS_1_1_1_0, "--n-start", "6",
@@ -195,14 +210,18 @@ class TestSelftest:
         assert "seed: 0" in out
         assert "FAIL" not in out
 
-    def test_corrupted_phi_fails(self, capsys):
-        from spincorr.selftest import run_selftest
+    def test_corrupted_phi_fails(self, capsys, monkeypatch):
+        """Doubling phi leaves the normalized lattice sum as it is, so only
+        the enumeration check sees it; the forked child inherits the patch."""
+        from spincorr import selftest
 
-        ok = run_selftest(seed=1, n_max=2, phi_fn=lambda q: 0)
+        monkeypatch.setattr(selftest, "phi", lambda q, phi=selftest.phi: 2 * phi(q))
+        ok = selftest.run_selftest(seed=1, n_max=2)
         captured = capsys.readouterr()
         assert not ok
         assert "FAIL phi_by_enumeration equivalence" in captured.out
         assert "phi_by_enumeration mismatch" in captured.out
+        assert captured.out.count("FAIL") == 1
 
     def test_misassigned_probabilities_fail(self, capsys, monkeypatch):
         """A table that hands each probability to the wrong row still sums
@@ -511,6 +530,13 @@ REGRESSIONS = [
                  id="seed-arabic-indic-digit"),
     pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "2", "--n-max", "1_0"], 2,
                  "--n-max", False, id="converge-n-max-underscore"),
+    # a scan longer than MAX_SCAN_LENGTH is refused before any table is built
+    pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "1", "--n-max", "1000000000"],
+                 2, "at most 10000 lengths", True, id="converge-10-pow-9-lengths"),
+    pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "1", "--n-max", "10001"],
+                 2, "at most 10000 lengths", True, id="converge-10001-lengths"),
+    pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "1", "--n-max", str(10**30)],
+                 2, "at most 10000 lengths", True, id="converge-lengths-past-maxsize"),
 ]
 
 

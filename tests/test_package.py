@@ -71,6 +71,13 @@ def test_phi_is_one_function_everywhere():
     assert spincorr.f_factor is spincorr.quantum_numbers.f_factor
 
 
+def test_projection_rule_is_raised_in_selection_only():
+    # selection.require_projection is the one raise site of -j <= m <= j
+    sources = sorted((ROOT / "src" / "spincorr").glob("*.py"))
+    assert sources
+    assert [p.name for p in sources if "must satisfy" in p.read_text()] == ["selection.py"]
+
+
 def test_bare_import_loads_no_submodule_until_asked():
     script = (
         "import sys, spincorr\n"

@@ -1,11 +1,15 @@
+import argparse
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from spincorr.brute import witness_triples
-from spincorr.errors import ConstraintError
-from spincorr.quantum_numbers import QN4, qn4_of_corrseq
+from spincorr.cg import cg_squared
+from spincorr.cli import _spins
+from spincorr.errors import ConstraintError, InvalidQuantumNumberError
+from spincorr.pathcount import Priors
+from spincorr.quantum_numbers import QN4, f_factor, qn4_of_corrseq
 from spincorr.selection import (
     allowed_m_pairs,
     check_projection,
@@ -15,6 +19,30 @@ from spincorr.selection import (
     j12_range,
 )
 from spincorr.sequences import BitSeq, correlate
+
+
+@pytest.mark.parametrize(
+    "raise_it, m, j",
+    [
+        pytest.param(lambda: _spins(argparse.Namespace(j1="1", j2="1", J="1", M="2")),
+                     "M", "J", id="cli-M"),
+        pytest.param(lambda: Priors(6, 2, 2, 2, 4), "m12", "j12", id="Priors-m12"),
+        pytest.param(lambda: QN4(tj=2, tm=4, tg=0, tl=0), "m", "j", id="QN4-m"),
+        pytest.param(lambda: QN4(tj=0, tm=0, tg=2, tl=3), "l", "g", id="QN4-l"),
+        pytest.param(lambda: QN4(tj=-2, tm=0, tg=4, tl=0), "m", "j", id="QN4-negative-j"),
+        pytest.param(lambda: QN4(tj=2, tm=0, tg=-2, tl=0), "l", "g", id="QN4-negative-g"),
+        pytest.param(lambda: cg_squared(2, 2, 4, 0, 2, 4), "m1", "j1", id="cg-m1"),
+        pytest.param(lambda: cg_squared(2, 2, 0, 1, 2, 1), "m2", "j2", id="cg-m2"),
+        pytest.param(lambda: cg_squared(2, 2, 2, 2, 2, 4), "M", "J", id="cg-M"),
+        pytest.param(lambda: f_factor(6, 2, 4), "m", "j", id="f_factor"),
+    ],
+)
+def test_projection_rule_raised_in_callers_names(raise_it, m, j):
+    """Every caller of the projection rule raises the one error, naming its
+    own quantum numbers."""
+    with pytest.raises(InvalidQuantumNumberError) as excinfo:
+        raise_it()
+    assert str(excinfo.value) == f"{m} must satisfy -{j} <= {m} <= {j} in integer steps"
 
 
 class TestTriangle:
@@ -89,25 +117,25 @@ class TestConstrainedBounds:
         # g and l maximal on both relations at n=6
         q10 = QN4(tj=2, tm=2, tg=4, tl=4)
         q02 = QN4(tj=2, tm=-2, tg=4, tl=4)
-        lo, hi = j12_bounds_constrained(q10, q02, 6)
+        lo, hi = j12_bounds_constrained(q10, q02)
         assert lo <= 2 <= hi
 
     def test_reference_relation_collapses(self):
         q10 = QN4(tj=3, tm=1, tg=5, tl=3)
         q02 = QN4(tj=0, tm=0, tg=8, tl=2)
-        assert j12_bounds_constrained(q10, q02, 8) == (3, 3)
+        assert j12_bounds_constrained(q10, q02) == (3, 3)
 
     def test_mismatched_n(self):
         q10 = QN4(tj=2, tm=0, tg=4, tl=0)
         q02 = QN4(tj=2, tm=0, tg=2, tl=0)
         with pytest.raises(ConstraintError):
-            j12_bounds_constrained(q10, q02, 6)
+            j12_bounds_constrained(q10, q02)
 
     def test_unconstrained_reduces_to_triangle(self):
         # capacities non-binding: plenty of A/B room on both sides
         q10 = QN4(tj=2, tm=0, tg=10, tl=0)
         q02 = QN4(tj=2, tm=0, tg=10, tl=0)
-        assert j12_bounds_constrained(q10, q02, 12) == (0, 4)
+        assert j12_bounds_constrained(q10, q02) == (0, 4)
 
     def _observed_j12(self, n, q10, q02):
         observed = set()
@@ -123,7 +151,7 @@ class TestConstrainedBounds:
         # overcapacity case from forcing C-counts beyond the A/B room
         q10 = QN4(tj=2, tm=2, tg=2, tl=2)
         q02 = QN4(tj=1, tm=-1, tg=3, tl=3)
-        lo, hi = j12_bounds_constrained(q10, q02, 4)
+        lo, hi = j12_bounds_constrained(q10, q02)
         observed = self._observed_j12(4, q10, q02)
         assert observed
         assert min(observed) >= lo and max(observed) <= hi
@@ -131,7 +159,7 @@ class TestConstrainedBounds:
     def test_bounds_bracket_enumeration_saturated(self):
         q10 = QN4(tj=2, tm=2, tg=2, tl=2)
         q02 = QN4(tj=2, tm=-2, tg=2, tl=2)
-        lo, hi = j12_bounds_constrained(q10, q02, 4)
+        lo, hi = j12_bounds_constrained(q10, q02)
         observed = self._observed_j12(4, q10, q02)
         assert observed
         assert min(observed) >= lo and max(observed) <= hi
