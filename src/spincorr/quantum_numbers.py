@@ -13,7 +13,7 @@ count, is a plain integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from typing import Dict, Optional, Tuple
@@ -34,20 +34,26 @@ SYMBOLS8 = alphabet(3)
 PAIRS = {"10": (0, 1), "02": (1, 2), "12": (0, 2)}
 
 
-@dataclass(frozen=True)
-class QN4:
+class QN4(namedtuple("QN4", "tj tm tg tl")):
     """Quantum numbers of one base-4 sequence, as doubled integers; (j, m)
     and (g, l) pass check_projection, which makes j and g nonnegative and
-    the four counts nonnegative integers."""
+    the four counts nonnegative integers.
 
-    tj: int
-    tm: int
-    tg: int
-    tl: int
+    An immutable, validated named tuple, so it equals the plain tuple
+    (tj, tm, tg, tl).
+    """
 
-    def __post_init__(self):
-        require_projection(self.tj, self.tm)
-        require_projection(self.tg, self.tl, "l", "g")
+    __slots__ = ()
+
+    def __new__(cls, tj: int, tm: int, tg: int, tl: int):
+        require_projection(tj, tm)
+        require_projection(tg, tl, "l", "g")
+        return tuple.__new__(cls, (tj, tm, tg, tl))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -75,27 +81,28 @@ class QN4:
         )
 
 
-@dataclass(frozen=True)
-class QN8:
-    """The complete eight-number set labelling a base-8 sequence.
+class QN8(namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
+    """The complete eight-number set labelling a base-8 sequence: an
+    immutable, validated named tuple, so it equals the plain tuple of its
+    eight fields.
 
     Validity (all Table-style counts nonnegative and integral) is not a
     construction invariant: summation lattices deliberately visit invalid
     points, which counts8_from_qn8 flags by returning None.
     """
 
-    n: int
-    tj10: int
-    tj02: int
-    tm10: int
-    tm02: int
-    tj12: int
-    tl12: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, tj10: int, tj02: int, tm10: int, tm02: int,
+                tj12: int, tl12: int, k: int):
+        if n < 1:
             raise InvalidQuantumNumberError("n must be positive")
+        return tuple.__new__(cls, (n, tj10, tj02, tm10, tm02, tj12, tl12, k))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @property
     def tm12(self) -> int:
@@ -166,24 +173,33 @@ def qn8_from_counts(c: Counts8) -> QN8:
     )
 
 
+# the symbols of counts8_from_qn8's doubled counts, in the order it fills them
+_DOUBLED_SYMBOLS = ((0, 1, 0), (1, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 1),
+                    (1, 1, 1), (0, 0, 0))
+
+
 def counts8_from_qn8(q: QN8) -> Optional[Counts8]:
     """Recover the eight counts, or None if any would be negative or
     non-integral (the summation engine skips such lattice points)."""
-    tk = 2 * q.k
-    doubled = {
-        (0, 1, 0): tk,
-        (1, 0, 1): q.tj10 + q.tj02 - q.tj12 - tk,
-        (1, 0, 0): q.tm10 - q.tj02 + q.tj12 + tk,
-        (0, 1, 1): q.tj10 - q.tm10 - tk,
-        (1, 1, 0): q.tj02 + q.tm02 - tk,
-        (0, 0, 1): q.tj12 + tk - q.tm02 - q.tj10,
-        (1, 1, 1): q.n - q.tl12 - q.tj10 - q.tj02 + tk,
-        (0, 0, 0): q.n - q.tj12 + q.tl12 - tk,
-    }
-    counts: Counts8 = {}
-    for sym, tv in doubled.items():
+    n, tj10, tj02, tm10, tm02, tj12, tl12, k = q
+    tk = 2 * k
+    # in the order of _DOUBLED_SYMBOLS; most lattice points fail here, so
+    # they are tested before any dict is built
+    doubled = (
+        tk,  # (0, 1, 0)
+        tj10 + tj02 - tj12 - tk,  # (1, 0, 1)
+        tm10 - tj02 + tj12 + tk,  # (1, 0, 0)
+        tj10 - tm10 - tk,  # (0, 1, 1)
+        tj02 + tm02 - tk,  # (1, 1, 0)
+        tj12 + tk - tm02 - tj10,  # (0, 0, 1)
+        n - tl12 - tj10 - tj02 + tk,  # (1, 1, 1)
+        n - tj12 + tl12 - tk,  # (0, 0, 0)
+    )
+    for tv in doubled:
         if tv < 0 or tv % 2:
             return None
+    counts: Counts8 = {}
+    for sym, tv in zip(_DOUBLED_SYMBOLS, doubled):
         counts[sym] = tv // 2
     return counts
 

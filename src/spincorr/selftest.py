@@ -44,6 +44,18 @@ def check_phi_equivalence(enum_n_max: int) -> List[str]:
     return problems
 
 
+# the relations check_random_triples tests, in the order it tests them
+_TRIPLE_RELATIONS = (
+    "n identity",
+    "m12 = m10 + m02",
+    "m12 = l02 - l10",
+    "l12 = l10 + m02",
+    "l12 = l02 - m10",
+    "j triangle",
+    "g range",
+)
+
+
 def check_random_triples(n_values: List[int], trials: int, rng: random.Random) -> List[str]:
     """Relations between the three pairwise measurements of random triples."""
     problems = []
@@ -52,25 +64,30 @@ def check_random_triples(n_values: List[int], trials: int, rng: random.Random) -
         # the same stream as one 3n-bit draw per trial
         bits = brute.random_bits(rng, 3 * n * trials)
         for t in range(0, 3 * n * trials, 3 * n):
-            s1, s0, s2 = (BitSeq._trusted(bits[i : i + n]) for i in (t, t + n, t + 2 * n))
+            s1 = BitSeq._trusted(bits[t : t + n])
+            s0 = BitSeq._trusted(bits[t + n : t + 2 * n])
+            s2 = BitSeq._trusted(bits[t + 2 * n : t + 3 * n])
             q10 = qn4_of_corrseq(correlate([s1, s0]))
             q02 = qn4_of_corrseq(correlate([s0, s2]))
             q12 = qn4_of_corrseq(correlate([s1, s2]))
             lo, hi = g12_range(n, q10.tj, q02.tj)
-            checks = [
-                ("n identity", q10.n == n and q02.n == n and q12.n == n),
-                ("m12 = m10 + m02", q12.tm == q10.tm + q02.tm),
-                ("m12 = l02 - l10", q12.tm == q02.tl - q10.tl),
-                ("l12 = l10 + m02", q12.tl == q10.tl + q02.tm),
-                ("l12 = l02 - m10", q12.tl == q02.tl - q10.tm),
-                ("j triangle", check_triangle(q10.tj, q02.tj, q12.tj)),
-                ("g range", lo <= q12.tg <= hi),
-            ]
-            for name, ok in checks:
-                if not ok:
-                    problems.append(
-                        f"{name} failed at n={n} for ({s1}, {s0}, {s2})"
-                    )
+            # one tuple of outcomes, in the order of _TRIPLE_RELATIONS; the
+            # names are paired with them only when one fails
+            oks = (
+                q10.n == n and q02.n == n and q12.n == n,
+                q12.tm == q10.tm + q02.tm,
+                q12.tm == q02.tl - q10.tl,
+                q12.tl == q10.tl + q02.tm,
+                q12.tl == q02.tl - q10.tm,
+                check_triangle(q10.tj, q02.tj, q12.tj),
+                lo <= q12.tg <= hi,
+            )
+            if not all(oks):
+                for name, ok in zip(_TRIPLE_RELATIONS, oks):
+                    if not ok:
+                        problems.append(
+                            f"{name} failed at n={n} for ({s1}, {s0}, {s2})"
+                        )
     return problems
 
 

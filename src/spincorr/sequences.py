@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import attrgetter, xor
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import BudgetExceededError
@@ -19,10 +20,14 @@ Symbol = Tuple[int, ...]
 
 # the most sequences one exhaustive enumeration may cover: it grows as 2^(d*n)
 ENUM_CAP = 1 << 24
+# the highest order whose 2^d symbols apply_map tabulates, so that a map of a
+# high order never builds an alphabet far larger than the sequences it maps
+_MAX_XOR_TABLE_ORDER = 8
 
 ALIAS_OF_PAIR = {(0, 0): "A", (1, 1): "B", (1, 0): "C", (0, 1): "D"}
 PAIR_OF_ALIAS = {v: k for k, v in ALIAS_OF_PAIR.items()}
 _BIT_OF_CHAR = {"0": 0, "1": 1}
+_BITS = attrgetter("bits")
 
 
 def _bit_tuple(items) -> Tuple[int, ...] | None:
@@ -36,28 +41,34 @@ def _bit_tuple(items) -> Tuple[int, ...] | None:
     return tuple(bits)
 
 
-@dataclass(frozen=True)
-class BitSeq:
-    """A fixed-length sequence of bits; the ontic element of the model."""
+class BitSeq(namedtuple("BitSeq", "bits")):
+    """A fixed-length sequence of bits; the ontic element of the model.
 
-    bits: Tuple[int, ...]
+    An immutable, validated named tuple of one field, so it equals the plain
+    tuple (bits,); len() is the sequence length n, not the field count.
+    """
 
-    def __post_init__(self):
-        if len(self.bits) < 1:
+    __slots__ = ()
+
+    def __new__(cls, bits: Tuple[int, ...]):
+        if len(bits) < 1:
             raise ValueError("a bit sequence needs length n >= 1")
-        bits = _bit_tuple(self.bits)
-        if bits is None:
+        checked = _bit_tuple(bits)
+        if checked is None:
             raise ValueError("bit sequence elements must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        return tuple.__new__(cls, (checked,))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @classmethod
     def _trusted(cls, bits: Tuple[int, ...]) -> "BitSeq":
         """A BitSeq of bits already known valid: a non-empty tuple of the
-        ints 0 and 1.  Skips __post_init__; for values built by this
-        package only."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "bits", bits)
-        return self
+        ints 0 and 1.  Skips the checks of __new__; for values built by
+        this package only."""
+        return tuple.__new__(cls, (bits,))
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -75,38 +86,40 @@ class BitSeq:
             raise ValueError(f"a bit sequence is written in 0 and 1 only: {text!r}") from None
 
 
-@dataclass(frozen=True)
-class CorrSeq:
-    """A length-n sequence over the order-d product alphabet."""
+class CorrSeq(namedtuple("CorrSeq", "order symbols")):
+    """A length-n sequence over the order-d product alphabet.
 
-    order: int
-    symbols: Tuple[Symbol, ...]
+    An immutable, validated named tuple, so it equals the plain tuple
+    (order, symbols); len() is the sequence length n, not the field count.
+    """
 
-    def __post_init__(self):
-        if self.order < 1:
+    __slots__ = ()
+
+    def __new__(cls, order: int, symbols: Tuple[Symbol, ...]):
+        if order < 1:
             raise ValueError("correlation order must be positive")
-        if len(self.symbols) < 1:
+        if len(symbols) < 1:
             raise ValueError("a correlation sequence needs length n >= 1")
-        symbols = []
+        checked = []
         # all symbols become tuples first: a non-iterable one raises TypeError
-        for sym in tuple(map(tuple, self.symbols)):
+        for sym in tuple(map(tuple, symbols)):
             bits = _bit_tuple(sym)
-            if bits is None or len(bits) != self.order:
-                raise ValueError(
-                    f"every symbol must be a {self.order}-tuple of bits"
-                )
-            symbols.append(bits)
-        object.__setattr__(self, "symbols", tuple(symbols))
+            if bits is None or len(bits) != order:
+                raise ValueError(f"every symbol must be a {order}-tuple of bits")
+            checked.append(bits)
+        return tuple.__new__(cls, (order, tuple(checked)))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @classmethod
     def _trusted(cls, order: int, symbols: Tuple[Symbol, ...]) -> "CorrSeq":
         """A CorrSeq of symbols already known valid: a non-empty tuple of
-        order-tuples of the ints 0 and 1.  Skips __post_init__; for values
-        built by this package only."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "symbols", symbols)
-        return self
+        order-tuples of the ints 0 and 1.  Skips the checks of __new__; for
+        values built by this package only."""
+        return tuple.__new__(cls, (order, symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -125,10 +138,16 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
     if len(seqs) < 2:
         raise ValueError("correlation needs at least 2 sequences")
     n = len(seqs[0])
-    if any(len(s) != n for s in seqs):
-        raise ValueError("correlation needs sequences of equal length")
-    symbols = tuple(zip(*(s.bits for s in seqs)))
-    if all(type(s) is BitSeq for s in seqs):
+    # plain loops: a generator expression costs a frame per call, and the
+    # selftest correlates thousands of pairs
+    trusted = True
+    for s in seqs:
+        if len(s) != n:
+            raise ValueError("correlation needs sequences of equal length")
+        if type(s) is not BitSeq:
+            trusted = False
+    symbols = tuple(zip(*map(_BITS, seqs)))
+    if trusted:
         return CorrSeq._trusted(len(seqs), symbols)
     return CorrSeq(order=len(seqs), symbols=symbols)
 
@@ -152,23 +171,37 @@ def count_symbols(c: CorrSeq) -> Dict[Symbol, int]:
     return counts
 
 
+@functools.lru_cache(maxsize=None)
+def _symbol_index(d: int) -> Dict[Symbol, int]:
+    """Each order-d symbol's position in alphabet(d).  The position is the
+    symbol's bits read as a binary number, so the XOR of two symbols sits at
+    the XOR of their positions.  Built once per d."""
+    return {sym: i for i, sym in enumerate(alphabet(d))}
+
+
 def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:
     """Element-wise addition modulo two; an involution.
 
-    XOR keeps validated 0/1 symbols valid, so plain CorrSeq inputs give a
-    result that is not validated again.
+    Plain CorrSeq inputs up to order _MAX_XOR_TABLE_ORDER are XORed through
+    the per-order table of _symbol_index; XOR keeps their valid symbols
+    valid, so the result is not validated again.  Other inputs are XORed bit
+    by bit and validated.
     """
-    if initial.order != mapping.order:
+    order = initial.order
+    if order != mapping.order:
         raise ValueError("map must have the same order as the sequence")
     if len(initial) != len(mapping):
         raise ValueError("map must have the same length as the sequence")
+    if (type(initial) is CorrSeq and type(mapping) is CorrSeq
+            and order <= _MAX_XOR_TABLE_ORDER):
+        position = _symbol_index(order).__getitem__
+        positions = map(xor, map(position, initial.symbols), map(position, mapping.symbols))
+        return CorrSeq._trusted(order, tuple(map(alphabet(order).__getitem__, positions)))
     symbols = tuple(
         tuple(a ^ b for a, b in zip(sa, sb))
         for sa, sb in zip(initial.symbols, mapping.symbols)
     )
-    if type(initial) is CorrSeq and type(mapping) is CorrSeq:
-        return CorrSeq._trusted(initial.order, symbols)
-    return CorrSeq(order=initial.order, symbols=symbols)
+    return CorrSeq(order=order, symbols=symbols)
 
 
 def check_enum_cap(total: int) -> None:

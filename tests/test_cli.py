@@ -259,6 +259,38 @@ class TestSelftest:
                 reference.randrange(2)
             assert rng.getstate() == reference.getstate()
 
+    def test_roundtrips_draw_stream_pinned(self):
+        """Each round trip draws n with randrange(1, 40), then the A, B and C
+        counts with randint(0, remaining), in that order."""
+        from spincorr.selftest import check_roundtrips
+
+        for trials in (7, 1000):
+            rng = random.Random(11)
+            assert check_roundtrips(trials, rng) == []
+            reference = random.Random(11)
+            for _ in range(trials):
+                remaining = reference.randrange(1, 40)
+                for _ in range(3):
+                    remaining -= reference.randint(0, remaining)
+            assert rng.getstate() == reference.getstate()
+
+    def test_permutation_maps_draw_stream_pinned(self):
+        """The map check draws one randrange(1 << 30) seed for the report,
+        whose tally (and key order) at the selftest's size was recorded
+        before apply_map XORed through a table."""
+        from spincorr import brute
+        from spincorr.selftest import check_permutation_maps
+
+        rng = random.Random(11)
+        assert check_permutation_maps(32, 200, rng) == []
+        reference = random.Random(11)
+        seed = reference.randrange(1 << 30)
+        assert rng.getstate() == reference.getstate()
+        tally = brute.map_conservation_report(32, 200, seed)["conserved_tally"]
+        expected = {"-": 156, "m": 13, "gj": 19, "lm": 2, "l": 9, "gjl": 1}
+        assert tally == expected
+        assert list(tally) == list(expected)
+
     @pytest.mark.parametrize("seed, n_max", [(0, 2), (1, 2), (0, None)])
     def test_stdout_same_without_fork(self, capsys, monkeypatch, seed, n_max):
         from spincorr.selftest import run_selftest
@@ -352,10 +384,12 @@ class TestDeterminism:
         assert first.stdout
 
 
-# Modules the table commands must not load: the oracles, the sequence layer
-# and the standard-library modules only they need.
+# Modules the table commands must not load: the oracles and the sequence
+# layer, which selftest loads, and standard-library modules that no command
+# loads (dataclasses would bring inspect, ast and dis with it).
 SELFTEST_ONLY = ["spincorr.selftest", "spincorr.brute", "spincorr.quantum_numbers",
-                 "spincorr.sequences", "dataclasses", "inspect", "logging"]
+                 "spincorr.sequences"]
+NO_COMMAND = ["dataclasses", "inspect", "logging"]
 
 IMPORT_GRAPH_SCRIPT = """
 import sys
@@ -381,7 +415,7 @@ def loaded_modules(formats):
     requests in the given output formats, in that order."""
     # -S keeps the site hooks of the interpreter's installation, which may
     # import anything, out of the check
-    script = IMPORT_GRAPH_SCRIPT.format(formats=formats, modules=SELFTEST_ONLY)
+    script = IMPORT_GRAPH_SCRIPT.format(formats=formats, modules=SELFTEST_ONLY + NO_COMMAND)
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
@@ -395,15 +429,23 @@ def test_table_commands_import_only_the_closed_form_path():
     assert loaded_modules(["csv", "json"]) == [
         "loaded after csv tables: csv",
         "loaded after json tables: csv,json",
-        "loaded after selftest: " + ",".join(SELFTEST_ONLY[:-1]),
+        "loaded after selftest: " + ",".join(SELFTEST_ONLY),
     ]
 
 
 def test_json_request_does_not_import_csv():
     assert loaded_modules(["json"]) == [
         "loaded after json tables: json",
-        "loaded after selftest: " + ",".join(SELFTEST_ONLY[:-1]),
+        "loaded after selftest: " + ",".join(SELFTEST_ONLY),
     ]
+
+
+def test_selftest_loads_neither_dataclasses_nor_inspect():
+    selftest_line = loaded_modules([])[-1]
+    assert selftest_line.startswith("loaded after selftest: ")
+    loaded = selftest_line.split(": ", 1)[1].split(",")
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
 
 
 # Exit code and stdout sha256 of each request, recorded before the package's

@@ -142,6 +142,29 @@ class TestQN8:
         q = QN8(n=8, tj10=3, tj02=2, tm10=1, tm02=-2, tj12=3, tl12=0, k=0)
         assert q.tm12 == -1
 
+    def test_invalid_exactly_when_a_doubled_count_is_negative_or_odd(self):
+        """None exactly when one of the eight doubled counts is negative or
+        odd, over a grid that holds both valid and invalid points."""
+        seen = set()
+        for tj10, tj02, tm10, tm02, tl12, k in itertools.product(
+            range(0, 3), range(0, 3), range(-2, 3), range(-2, 3), range(-4, 5), range(0, 2)
+        ):
+            for tj12 in range(0, 4):
+                q = QN8(4, tj10, tj02, tm10, tm02, tj12, tl12, k)
+                tk = 2 * k
+                doubled = (
+                    tk, tj10 + tj02 - tj12 - tk, tm10 - tj02 + tj12 + tk,
+                    tj10 - tm10 - tk, tj02 + tm02 - tk, tj12 + tk - tm02 - tj10,
+                    4 - tl12 - tj10 - tj02 + tk, 4 - tj12 + tl12 - tk,
+                )
+                invalid = any(tv < 0 or tv % 2 for tv in doubled)
+                counts = counts8_from_qn8(q)
+                assert (counts is None) == invalid, q
+                if counts is not None:
+                    assert sorted(2 * c for c in counts.values()) == sorted(doubled)
+                seen.add(invalid)
+        assert seen == {True, False}
+
     def test_table_sum_is_n_identically(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -172,6 +195,44 @@ class TestQN8:
             if sum(counts.values()) == 0:
                 continue
             assert counts8_from_qn8(qn8_from_counts(counts)) == counts
+
+
+class TestRecordTypes:
+    """QN4 and QN8 are validated named tuples, as pathcount.Priors is: they
+    equal the plain tuple of their fields, and every route to a new record
+    validates it."""
+
+    def test_qn4(self):
+        q = QN4(tj=3, tm=1, tg=3, tl=1)
+        assert repr(q) == "QN4(tj=3, tm=1, tg=3, tl=1)"
+        assert q == QN4(3, 1, 3, 1) == (3, 1, 3, 1)
+        assert hash(q) == hash((3, 1, 3, 1))
+        with pytest.raises(AttributeError):
+            q.tj = 1
+        with pytest.raises(AttributeError):
+            q.extra = 1
+        assert q._replace(tm=-1) == QN4(3, -1, 3, 1)
+        assert QN4._make((3, 1, 3, 1)) == q
+        with pytest.raises(InvalidQuantumNumberError):
+            q._replace(tm=5)
+        with pytest.raises(InvalidQuantumNumberError):
+            QN4._make((3, 1, 3, 2))
+
+    def test_qn8(self):
+        q = QN8(n=6, tj10=2, tj02=2, tm10=0, tm02=0, tj12=2, tl12=0, k=0)
+        assert repr(q) == "QN8(n=6, tj10=2, tj02=2, tm10=0, tm02=0, tj12=2, tl12=0, k=0)"
+        assert q == (6, 2, 2, 0, 0, 2, 0, 0)
+        assert hash(q) == hash((6, 2, 2, 0, 0, 2, 0, 0))
+        with pytest.raises(AttributeError):
+            q.k = 1
+        with pytest.raises(AttributeError):
+            q.extra = 1
+        assert q._replace(k=1) == QN8(6, 2, 2, 0, 0, 2, 0, 1)
+        assert QN8._make((6, 2, 2, 0, 0, 2, 0, 0)) == q
+        with pytest.raises(InvalidQuantumNumberError, match="n must be positive"):
+            q._replace(n=0)
+        with pytest.raises(InvalidQuantumNumberError, match="n must be positive"):
+            QN8._make((0, 2, 2, 0, 0, 2, 0, 0))
 
 
 class TestPairwiseAgreement:

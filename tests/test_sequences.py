@@ -244,6 +244,26 @@ class TestTrustedResults:
         m = CorrSeq(2, tuple((c, d) for _, _, c, d in data))
         assert_same_as_validated(apply_map(x, m))
 
+    @given(
+        data=st.lists(st.tuples(*[bits] * 6), min_size=1, max_size=24)
+    )
+    def test_apply_map_order_three(self, data):
+        # the XOR table is built per order
+        x = CorrSeq(3, tuple(row[:3] for row in data))
+        m = CorrSeq(3, tuple(row[3:] for row in data))
+        mapped = apply_map(x, m)
+        assert_same_as_validated(mapped)
+        assert mapped.symbols == tuple(
+            tuple(a ^ b for a, b in zip(row[:3], row[3:])) for row in data
+        )
+
+    def test_apply_map_above_table_order(self):
+        x = CorrSeq(9, ((1,) * 9, (0,) * 9))
+        m = CorrSeq(9, ((1, 0) * 4 + (1,), (0, 1) * 4 + (0,)))
+        mapped = apply_map(x, m)
+        assert_same_as_validated(mapped)
+        assert mapped.symbols == ((0, 1) * 4 + (0,), (0, 1) * 4 + (0,))
+
     def test_trusted_constructors_equal_validated(self):
         assert BitSeq._trusted((1, 0, 1)) == bitseq("101")
         assert hash(BitSeq._trusted((1, 0, 1))) == hash(bitseq("101"))
@@ -255,6 +275,48 @@ class TestTrustedResults:
             correlate([bitseq("10"), FakeSeq(bits=(0, 2))])
         with pytest.raises(ValueError, match=SYMBOL_MESSAGE):
             apply_map(FakeSeq(order=2, symbols=((0, 2),)), corr4("A"))
+
+
+class TestRecordTypes:
+    """BitSeq and CorrSeq are validated named tuples, as pathcount.Priors
+    is: they equal the plain tuple of their fields, every route to a new
+    record validates it, and len() is the sequence length."""
+
+    def test_bitseq(self):
+        s = bitseq("101")
+        assert repr(s) == "BitSeq(bits=(1, 0, 1))"
+        assert len(s) == 3
+        assert s == ((1, 0, 1),)
+        assert hash(s) == hash(((1, 0, 1),))
+        with pytest.raises(AttributeError):
+            s.bits = (0,)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        replaced = s._replace(bits=(True, 0.0))
+        assert replaced == bitseq("10")
+        assert all(type(b) is int for b in replaced.bits)
+        assert BitSeq._make([(1, 0, 1)]) == s
+        with pytest.raises(ValueError, match=BIT_MESSAGE):
+            s._replace(bits=(0, 2))
+        with pytest.raises(ValueError, match="length n >= 1"):
+            BitSeq._make([()])
+
+    def test_corrseq(self):
+        c = corr4("CA")
+        assert repr(c) == "CorrSeq(order=2, symbols=((1, 0), (0, 0)))"
+        assert len(c) == 2
+        assert c == (2, ((1, 0), (0, 0)))
+        assert hash(c) == hash((2, ((1, 0), (0, 0))))
+        with pytest.raises(AttributeError):
+            c.order = 3
+        with pytest.raises(AttributeError):
+            c.extra = 1
+        assert c._replace(symbols=((0, 1),)) == corr4("D")
+        assert CorrSeq._make([2, ((1, 0), (0, 0))]) == c
+        with pytest.raises(ValueError, match="every symbol must be a 3-tuple of bits"):
+            c._replace(order=3)
+        with pytest.raises(ValueError, match="correlation order must be positive"):
+            CorrSeq._make([0, ((1, 0),)])
 
 
 class TestEnumerate:
