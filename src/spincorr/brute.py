@@ -43,8 +43,9 @@ def enumerate_base8_counts(n: int) -> Dict[tuple, int]:
 
 
 def counts_key_to_qn8(key: tuple) -> QN8:
-    """Interpret a lexicographic 8-tuple of counts as base-8 counts."""
-    return qn8_from_counts(dict(zip(SYMBOLS8, key)))
+    """Interpret a lexicographic 8-tuple of counts as base-8 counts; a key
+    of any other length raises ValueError."""
+    return qn8_from_counts(dict(zip(SYMBOLS8, key, strict=True)))
 
 
 def phi_by_enumeration(q: QN8) -> int:
@@ -69,13 +70,15 @@ def witness_triples(n: int, **constraints: int) -> Iterator[Tuple[BitSeq, BitSeq
     if unknown:
         raise ValueError(f"unknown constraints: {sorted(unknown)}")
     check_enum_cap(2 ** (3 * n))
+    # BitSeq's check of n; product((0, 1), ...) yields only valid bits, so
+    # no sequence is validated again
+    BitSeq((0,) * n)
     for bits in itertools.product((0, 1), repeat=3 * n):
-        triple = (BitSeq(bits[:n]), BitSeq(bits[n : 2 * n]), BitSeq(bits[2 * n :]))
+        triple = tuple(BitSeq._trusted(bits[i : i + n]) for i in (0, n, 2 * n))
         for pair, fields in PAIR_FIELDS.items():
             i, j = PAIRS[pair]
             q = qn4_of_corrseq(correlate([triple[i], triple[j]]))
-            values = (q.tj, q.tm, q.tg, q.tl)
-            if any(constraints.get(name, v) != v for name, v in zip(fields, values)):
+            if any(constraints.get(name, v) != v for name, v in zip(fields, q)):
                 break
         else:
             yield triple
@@ -85,16 +88,8 @@ def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> FrozenSet[s
     """Which of j, m, g, l the map leaves unchanged for this sequence."""
     before = qn4_of_corrseq(initial)
     after = qn4_of_corrseq(apply_map(initial, mapping))
-    names = []
-    for name, x, y in (
-        ("j", before.tj, after.tj),
-        ("m", before.tm, after.tm),
-        ("g", before.tg, after.tg),
-        ("l", before.tl, after.tl),
-    ):
-        if x == y:
-            names.append(name)
-    return frozenset(names)
+    # a QN4 is the tuple (tj, tm, tg, tl)
+    return frozenset(name for name, x, y in zip("jmgl", before, after) if x == y)
 
 
 # top byte of a 32-bit Mersenne Twister output -> randrange(2) outcome, with

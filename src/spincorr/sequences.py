@@ -20,9 +20,6 @@ Symbol = Tuple[int, ...]
 
 # the most sequences one exhaustive enumeration may cover: it grows as 2^(d*n)
 ENUM_CAP = 1 << 24
-# the highest order whose 2^d symbols apply_map tabulates, so that a map of a
-# high order never builds an alphabet far larger than the sequences it maps
-_MAX_XOR_TABLE_ORDER = 8
 
 ALIAS_OF_PAIR = {(0, 0): "A", (1, 1): "B", (1, 0): "C", (0, 1): "D"}
 PAIR_OF_ALIAS = {v: k for k, v in ALIAS_OF_PAIR.items()}
@@ -171,37 +168,26 @@ def count_symbols(c: CorrSeq) -> Dict[Symbol, int]:
     return counts
 
 
-@functools.lru_cache(maxsize=None)
-def _symbol_index(d: int) -> Dict[Symbol, int]:
-    """Each order-d symbol's position in alphabet(d).  The position is the
-    symbol's bits read as a binary number, so the XOR of two symbols sits at
-    the XOR of their positions.  Built once per d."""
-    return {sym: i for i, sym in enumerate(alphabet(d))}
-
-
 def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:
     """Element-wise addition modulo two; an involution.
 
-    Plain CorrSeq inputs up to order _MAX_XOR_TABLE_ORDER are XORed through
-    the per-order table of _symbol_index; XOR keeps their valid symbols
-    valid, so the result is not validated again.  Other inputs are XORed bit
-    by bit and validated.
+    An input that is not a plain CorrSeq is validated on entry, by building
+    one from it.  The two are then XORed as flat bit streams, regrouped into
+    order-tuples; XOR keeps valid bits valid, so the result is not validated
+    again.
     """
+    if type(initial) is not CorrSeq:
+        initial = CorrSeq(initial.order, initial.symbols)
+    if type(mapping) is not CorrSeq:
+        mapping = CorrSeq(mapping.order, mapping.symbols)
     order = initial.order
     if order != mapping.order:
         raise ValueError("map must have the same order as the sequence")
     if len(initial) != len(mapping):
         raise ValueError("map must have the same length as the sequence")
-    if (type(initial) is CorrSeq and type(mapping) is CorrSeq
-            and order <= _MAX_XOR_TABLE_ORDER):
-        position = _symbol_index(order).__getitem__
-        positions = map(xor, map(position, initial.symbols), map(position, mapping.symbols))
-        return CorrSeq._trusted(order, tuple(map(alphabet(order).__getitem__, positions)))
-    symbols = tuple(
-        tuple(a ^ b for a, b in zip(sa, sb))
-        for sa, sb in zip(initial.symbols, mapping.symbols)
-    )
-    return CorrSeq(order=order, symbols=symbols)
+    flat = itertools.chain.from_iterable
+    bits = map(xor, flat(initial.symbols), flat(mapping.symbols))
+    return CorrSeq._trusted(order, tuple(zip(*[bits] * order)))
 
 
 def check_enum_cap(total: int) -> None:
@@ -215,8 +201,11 @@ def check_enum_cap(total: int) -> None:
 def enumerate_sequences(n: int, d: int) -> Iterator[CorrSeq]:
     """All 2^(d*n) order-d sequences of length n, in lexicographic order."""
     check_enum_cap(1 << (d * n))
+    # CorrSeq's checks of n and d, on the first sequence; every sequence is
+    # built from alphabet(d), so none needs its symbols validated again
+    CorrSeq(d, alphabet(d)[:1] * n)
     for symbols in itertools.product(alphabet(d), repeat=n):
-        yield CorrSeq(order=d, symbols=symbols)
+        yield CorrSeq._trusted(d, symbols)
 
 
 def render(c: CorrSeq) -> str:

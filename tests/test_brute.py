@@ -88,6 +88,11 @@ class TestPhiByEnumeration:
         for key, observed in bins.items():
             assert phi(counts_key_to_qn8(key)) == observed
 
+    @pytest.mark.parametrize("size", [7, 9])
+    def test_key_of_other_than_eight_counts_rejected(self, size):
+        with pytest.raises(ValueError):
+            counts_key_to_qn8((1,) * size)
+
 
 class TestWitnessTriples:
     def test_overlap_example(self):
@@ -116,6 +121,10 @@ class TestWitnessTriples:
         # 2^27 triples at n = 9; the cap refuses before the first one
         with pytest.raises(BudgetExceededError):
             next(witness_triples(9))
+
+    def test_empty_sequences_rejected(self):
+        with pytest.raises(ValueError, match="length n >= 1"):
+            next(witness_triples(0))
 
 
 class TestMapConservation:

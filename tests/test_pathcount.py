@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from spincorr import pathcount, selftest
 from spincorr.brute import phi_by_enumeration
+from spincorr.cg import cg_squared
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
-from spincorr.pathcount import Priors, k_bounds, probability_table
+from spincorr.pathcount import Priors, k_bounds, path_weights, probability_table
 from spincorr.quantum_numbers import QN8, counts8_from_qn8, f_factor, phi
 from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import _prior_grid, check_normalization, upsilon_full_lattice
@@ -356,6 +357,47 @@ class TestIntegerWeight:
             for tm10, tm02 in allowed_m_pairs(*prior[1:3], prior[4])
         ]
         assert calls == expected
+
+
+def finite_difference(values, order):
+    """The order-th forward differences of a list of values."""
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+class TestLimitIsCGSquared:
+    """P -> CG^2 as an exact identity.  Each R_s is monic of degree x in G
+    (see _weight), so every path_weights row is an integer polynomial in G,
+    and so in n, of degree <= x; its G^x coefficients, normalized over the
+    rows, are the limit of P as n grows, and must equal cg_squared."""
+
+    def test_leading_coefficients_are_cg_squared(self):
+        priors = rows = 0
+        for tj1 in range(7):
+            for tj2 in range(7):
+                lo = max(1, tj1 + tj2)
+                for tJ in j12_range(tj1, tj2):
+                    x = (tj1 + tj2 - tJ) // 2
+                    for tM in range(-tJ, tJ + 1, 2):
+                        # x + 2 consecutive n: one more than degree x needs
+                        tables = [
+                            path_weights(Priors(n, tj1, tj2, tJ, tM))
+                            for n in range(lo, lo + x + 2)
+                        ]
+                        leading = []
+                        for row in zip(*tables):
+                            top = finite_difference([w for _, _, w in row], x)
+                            assert finite_difference(top, 1) == [0], (tj1, tj2, tJ, tM, row)
+                            leading.append(top[0])
+                        total = sum(leading)
+                        assert [Fraction(c, total) for c in leading] == [
+                            cg_squared(tj1, tj2, tm10, tm02, tJ, tM)
+                            for tm10, tm02, _ in tables[0]
+                        ], (tj1, tj2, tJ, tM)
+                        priors += 1
+                        rows += len(leading)
+        assert (priors, rows) == (784, 2408)
 
 
 @st.composite

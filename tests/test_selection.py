@@ -4,12 +4,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from spincorr.brute import witness_triples
+from spincorr.brute import enumerate_base8_counts, witness_triples
 from spincorr.cg import cg_squared
 from spincorr.cli import _spins
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
 from spincorr.pathcount import Priors
-from spincorr.quantum_numbers import QN4, f_factor, qn4_of_corrseq
+from spincorr.quantum_numbers import (
+    QN4, SYMBOLS8, f_factor, pair_counts4, qn4_from_counts, qn4_of_corrseq,
+)
 from spincorr.selection import (
     allowed_m_pairs,
     check_projection,
@@ -163,6 +165,24 @@ class TestConstrainedBounds:
         observed = self._observed_j12(4, q10, q02)
         assert observed
         assert min(observed) >= lo and max(observed) <= hi
+
+    def test_bounds_exact_over_every_count_vector(self):
+        # the j12 that occur for each (q10, q02), over every base-8 count
+        # vector with n <= 8, are every value from lo to hi in integer steps
+        realized = {}
+        for n in range(1, 9):
+            for key in enumerate_base8_counts(n):
+                c8 = dict(zip(SYMBOLS8, key, strict=True))
+                q10, q02, q12 = (
+                    qn4_from_counts(pair_counts4(c8, pair)) for pair in ("10", "02", "12")
+                )
+                realized.setdefault((q10, q02), set()).add(q12.tj)
+        for (q10, q02), observed in realized.items():
+            lo, hi = j12_bounds_constrained(q10, q02)
+            assert observed == set(range(lo, hi + 1, 2)), (q10, q02)
+        # as many pairs up to n = 6 as all 8^n bit triples give
+        assert sum(q10.n <= 6 for q10, _ in realized) == 2057
+        assert sum(q10.n == 8 for q10, _ in realized) == 3333
 
     def test_every_triangle_value_realizable_at_tight_n(self):
         # n = 2(j10 + j02): every j12 admitted by the triangle rule occurs

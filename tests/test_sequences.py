@@ -245,17 +245,19 @@ class TestTrustedResults:
         assert_same_as_validated(apply_map(x, m))
 
     @given(
-        data=st.lists(st.tuples(*[bits] * 6), min_size=1, max_size=24)
+        data=st.lists(st.tuples(*[bits] * 20), min_size=1, max_size=24)
     )
     def test_apply_map_order_three(self, data):
-        # the XOR table is built per order
-        x = CorrSeq(3, tuple(row[:3] for row in data))
-        m = CorrSeq(3, tuple(row[3:] for row in data))
-        mapped = apply_map(x, m)
-        assert_same_as_validated(mapped)
-        assert mapped.symbols == tuple(
-            tuple(a ^ b for a, b in zip(row[:3], row[3:])) for row in data
-        )
+        # order 3 and every other order from 1 to 10, against a bitwise XOR
+        for order in range(1, 11):
+            x = CorrSeq(order, tuple(row[:order] for row in data))
+            m = CorrSeq(order, tuple(row[10 : 10 + order] for row in data))
+            mapped = apply_map(x, m)
+            assert_same_as_validated(mapped)
+            assert mapped.symbols == tuple(
+                tuple(a ^ b for a, b in zip(row[:order], row[10 : 10 + order]))
+                for row in data
+            )
 
     def test_apply_map_above_table_order(self):
         x = CorrSeq(9, ((1,) * 9, (0,) * 9))
@@ -275,6 +277,21 @@ class TestTrustedResults:
             correlate([bitseq("10"), FakeSeq(bits=(0, 2))])
         with pytest.raises(ValueError, match=SYMBOL_MESSAGE):
             apply_map(FakeSeq(order=2, symbols=((0, 2),)), corr4("A"))
+        # a 3-bit symbol in an order-2 input is refused, not truncated
+        with pytest.raises(ValueError, match=SYMBOL_MESSAGE):
+            apply_map(FakeSeq(order=2, symbols=((1, 0, 1),)), corr4("A"))
+        with pytest.raises(ValueError, match=SYMBOL_MESSAGE):
+            apply_map(corr4("A"), FakeSeq(order=2, symbols=((1, 0, 1),)))
+        # a bit CorrSeq accepts is accepted, and stored as an int
+        mapped = apply_map(FakeSeq(order=2, symbols=((1.0, 0),)), corr4("A"))
+        assert mapped == corr4("C")
+        assert_same_as_validated(mapped)
+        assert apply_map(corr4("B"), FakeSeq(order=2, symbols=((True, 0.0),))) == corr4("D")
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
+    def test_enumerated_sequences(self, n, d):
+        for c in enumerate_sequences(n, d):
+            assert_same_as_validated(c)
 
 
 class TestRecordTypes:
@@ -335,6 +352,14 @@ class TestEnumerate:
     def test_no_duplicates(self, n, d):
         seqs = list(enumerate_sequences(n, d))
         assert len(set(seqs)) == len(seqs) == 2 ** (d * n)
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [(0, 2, "length n >= 1"), (2, 0, "order must be positive")],
+    )
+    def test_empty_length_or_order_rejected(self, n, d, message):
+        with pytest.raises(ValueError, match=message):
+            next(enumerate_sequences(n, d))
 
     def test_budget(self):
         # 2^25 sequences: one more doubling than ENUM_CAP allows
