@@ -21,24 +21,36 @@ from .sequences import BitSeq, CorrSeq, apply_map, check_enum_cap, correlate
 PAIR_FIELDS = {pair: tuple(f"t{q}{pair}" for q in "jmgl") for pair in PAIRS}
 
 
-def enumerate_base8_counts(n: int) -> Dict[tuple, int]:
-    """Bin all 8^n order-3 sequences by their count vector.
+def base8_count_layers(n_max: int) -> Iterator[Dict[tuple, int]]:
+    """Bin all 8^n order-3 sequences by their count vector, for each
+    n = 0, 1, ..., n_max in turn: layer n is yielded before layer n + 1 is
+    built, so one pass serves every length up to n_max.
 
     Keys are 8-tuples of counts in lexicographic symbol order.  Every
-    length-i sequence is one length-(i-1) prefix followed by one symbol, so
+    length-n sequence is one length-(n-1) prefix followed by one symbol, so
     the bins grow by extending prefixes: each bin's multiplicity passes to
     the 8 bins holding one more of a symbol.  Only additions are used, no
-    factorial.  The enumeration cap still counts the 8^n sequences covered.
+    factorial.  The enumeration cap counts the 8^n_max sequences of the
+    last layer before the first layer is built.
     """
-    check_enum_cap(8**n)
+    check_enum_cap(8**n_max)
     bins: Dict[tuple, int] = {(0,) * 8: 1}
-    for _ in range(n):
+    yield bins
+    for _ in range(n_max):
         longer: Dict[tuple, int] = {}
         for key, multiplicity in bins.items():
             for s in range(8):
                 grown = key[:s] + (key[s] + 1,) + key[s + 1 :]
                 longer[grown] = longer.get(grown, 0) + multiplicity
         bins = longer
+        yield bins
+
+
+def enumerate_base8_counts(n: int) -> Dict[tuple, int]:
+    """Bin all 8^n order-3 sequences by their count vector: the last layer
+    of base8_count_layers(n)."""
+    for bins in base8_count_layers(n):
+        pass
     return bins
 
 
@@ -92,9 +104,11 @@ def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> FrozenSet[s
     return frozenset(name for name, x, y in zip("jmgl", before, after) if x == y)
 
 
-# top byte of a 32-bit Mersenne Twister output -> randrange(2) outcome, with
-# 2 for a rejected draw (top bit set)
-_TOP_BYTE_TO_BIT = bytes(b >> 6 if b < 0x80 else 2 for b in range(256))
+# top byte of a 32-bit Mersenne Twister output -> randrange(2) outcome, the
+# bit below the top one; an output with the top bit set is a rejected draw,
+# which _REJECTED_TOP_BYTES deletes before this table applies
+_TOP_BYTE_TO_BIT = bytes(b >> 6 & 1 for b in range(256))
+_REJECTED_TOP_BYTES = bytes(range(0x80, 0x100))
 
 
 def random_bits(rng: random.Random, count: int) -> Tuple[int, ...]:
@@ -110,21 +124,26 @@ def random_bits(rng: random.Random, count: int) -> Tuple[int, ...]:
     getrandbits(32 * k) consumes exactly k outputs and stores them
     little-endian, so byte 4i + 3 of the result is the top byte of output i.
     Every output yields at most one bit, so drawing as many outputs as bits
-    are still missing never draws past the last one randrange would use;
-    the rejected outputs are dropped and the shortfall is drawn again.
+    are still missing never draws past the last one randrange would use.
+    One translate pass deletes the rejected outputs' top bytes and maps the
+    rest to bits; the shortfall is drawn again.
     """
     bits = b""
     while len(bits) < count:
         need = count - len(bits)
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        bits += words[3::4].translate(_TOP_BYTE_TO_BIT).replace(b"\x02", b"")
+        bits += words[3::4].translate(_TOP_BYTE_TO_BIT, _REJECTED_TOP_BYTES)
     return tuple(bits)
+
+
+def _columns_corrseq(bits: Tuple[int, ...], n: int) -> CorrSeq:
+    """The order-2 sequence whose columns are bits[:n] and bits[n:2n]."""
+    return CorrSeq._trusted(2, tuple(zip(bits[:n], bits[n : 2 * n])))
 
 
 def _random_corrseq(rng: random.Random, n: int) -> CorrSeq:
     """Two random n-bit columns correlated, drawn first column first."""
-    bits = random_bits(rng, 2 * n)
-    return CorrSeq._trusted(2, tuple(zip(bits[:n], bits[n:])))
+    return _columns_corrseq(random_bits(rng, 2 * n), n)
 
 
 def map_conservation_report(n: int, trials: int, seed: int) -> Dict:
@@ -138,9 +157,12 @@ def map_conservation_report(n: int, trials: int, seed: int) -> Dict:
     conserved_tally: Dict[FrozenSet[str], int] = {}
     mismatches: List[str] = []
 
-    for _ in range(trials):
-        initial = _random_corrseq(rng, n)
-        mapping = _random_corrseq(rng, n)
+    # every trial's initial sequence, then its map, 2n bits each, in one
+    # draw: the same stream as one draw per sequence
+    bits = random_bits(rng, 4 * n * trials)
+    for t in range(0, 4 * n * trials, 4 * n):
+        initial = _columns_corrseq(bits[t : t + 2 * n], n)
+        mapping = _columns_corrseq(bits[t + 2 * n : t + 4 * n], n)
         conserved = conserved_quantum_numbers(initial, mapping)
         conserved_tally[conserved] = conserved_tally.get(conserved, 0) + 1
         if conserved == frozenset("jmgl"):

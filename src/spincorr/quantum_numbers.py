@@ -55,6 +55,13 @@ class QN4(namedtuple("QN4", "tj tm tg tl")):
         # namedtuple's _make (and _replace, which calls it) skips __new__
         return cls(*iterable)
 
+    @classmethod
+    def _trusted(cls, tj: int, tm: int, tg: int, tl: int) -> "QN4":
+        """A QN4 of fields already known valid: the doubled quantum numbers
+        of four nonnegative int counts.  Skips the checks of __new__; for
+        values built by this package only."""
+        return tuple.__new__(cls, (tj, tm, tg, tl))
+
     @property
     def n(self) -> int:
         return self.tj + self.tg
@@ -134,11 +141,16 @@ class QN8(namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
         return counts8_from_qn8(self) is not None
 
 
+def _doubled_jmgl(a: int, b: int, cc: int, d: int) -> Tuple[int, int, int, int]:
+    """j=(C+D)/2, m=(C-D)/2, g=(A+B)/2, l=(A-B)/2 in doubled form, from the
+    A, B, C, D counts."""
+    return cc + d, cc - d, a + b, a - b
+
+
 def qn4_from_counts(c: Counts4) -> QN4:
-    """j=(C+D)/2, m=(C-D)/2, g=(A+B)/2, l=(A-B)/2 in doubled form."""
-    a, b = c.get(A, 0), c.get(B, 0)
-    cc, d = c.get(C, 0), c.get(D, 0)
-    return QN4(tj=cc + d, tm=cc - d, tg=a + b, tl=a - b)
+    """The quantum numbers of base-4 counts (see _doubled_jmgl); counts that
+    break the projection rule, such as a negative one, raise."""
+    return QN4(*_doubled_jmgl(c.get(A, 0), c.get(B, 0), c.get(C, 0), c.get(D, 0)))
 
 
 def counts4_from_qn4(q: QN4) -> Counts4:
@@ -152,24 +164,30 @@ def counts4_from_qn4(q: QN4) -> Counts4:
 
 
 def qn4_of_corrseq(c: CorrSeq) -> QN4:
+    """The quantum numbers of an order-2 sequence.  Its counts are
+    nonnegative ints, so the projection rule holds by construction and the
+    QN4 is not validated again."""
     if c.order != 2:
         raise ValueError("base-4 quantum numbers need an order-2 sequence")
-    return qn4_from_counts(count_symbols(c))
+    counts = count_symbols(c)
+    return QN4._trusted(*_doubled_jmgl(counts[A], counts[B], counts[C], counts[D]))
 
 
 def qn8_from_counts(c: Counts8) -> QN8:
     """Evaluate the eight quantum numbers from base-8 counts."""
-    t = {sym: c.get(sym, 0) for sym in SYMBOLS8}
-    n = sum(t.values())
+    # t<x1 x0 x2> is the count of that symbol, in the order of SYMBOLS8
+    t000, t001, t010, t011, t100, t101, t110, t111 = map(c.get, SYMBOLS8, (0,) * 8)
+    # positional: a keyword call costs about twice as much, and the phi
+    # check evaluates thousands of count vectors
     return QN8(
-        n=n,
-        tj10=t[1, 0, 0] + t[1, 0, 1] + t[0, 1, 1] + t[0, 1, 0],
-        tj02=t[1, 1, 0] + t[1, 0, 1] + t[0, 0, 1] + t[0, 1, 0],
-        tm10=t[1, 0, 0] + t[1, 0, 1] - t[0, 1, 1] - t[0, 1, 0],
-        tm02=t[1, 1, 0] + t[0, 1, 0] - t[0, 0, 1] - t[1, 0, 1],
-        tj12=t[1, 0, 0] + t[1, 1, 0] + t[0, 1, 1] + t[0, 0, 1],
-        tl12=t[0, 0, 0] + t[0, 1, 0] - t[1, 1, 1] - t[1, 0, 1],
-        k=t[0, 1, 0],
+        t000 + t001 + t010 + t011 + t100 + t101 + t110 + t111,  # n
+        t100 + t101 + t011 + t010,  # tj10
+        t110 + t101 + t001 + t010,  # tj02
+        t100 + t101 - t011 - t010,  # tm10
+        t110 + t010 - t001 - t101,  # tm02
+        t100 + t110 + t011 + t001,  # tj12
+        t000 + t010 - t111 - t101,  # tl12
+        t010,  # k
     )
 
 

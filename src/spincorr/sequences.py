@@ -134,19 +134,19 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
     """
     if len(seqs) < 2:
         raise ValueError("correlation needs at least 2 sequences")
-    n = len(seqs[0])
-    # plain loops: a generator expression costs a frame per call, and the
-    # selftest correlates thousands of pairs
-    trusted = True
-    for s in seqs:
-        if len(s) != n:
+    # the columns are taken once, and plain loops check them: a generator
+    # expression costs a frame per call, and the selftest correlates
+    # thousands of pairs
+    columns = tuple(map(_BITS, seqs))
+    n = len(columns[0])
+    for bits in columns:
+        if len(bits) != n:
             raise ValueError("correlation needs sequences of equal length")
+    symbols = tuple(zip(*columns))
+    for s in seqs:
         if type(s) is not BitSeq:
-            trusted = False
-    symbols = tuple(zip(*map(_BITS, seqs)))
-    if trusted:
-        return CorrSeq._trusted(len(seqs), symbols)
-    return CorrSeq(order=len(seqs), symbols=symbols)
+            return CorrSeq(order=len(seqs), symbols=symbols)
+    return CorrSeq._trusted(len(seqs), symbols)
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,13 +158,25 @@ def alphabet(d: int) -> Tuple[Symbol, ...]:
 
 def count_symbols(c: CorrSeq) -> Dict[Symbol, int]:
     """Occurrence counts over the full 2^d alphabet, keyed in lexicographic
-    order; missing symbols are 0."""
+    order; missing symbols are 0.
+
+    Every symbol of a CorrSeq is in alphabet(d), so the last symbol's count
+    is not counted: it is the length less the other 2^d - 1 counts.  An
+    input that is not a plain CorrSeq is validated on entry, by building
+    one from it, as apply_map does.
+    """
+    if type(c) is not CorrSeq:
+        c = CorrSeq(c.order, c.symbols)
     # a plain loop: before Python 3.12 a comprehension costs a frame per
     # call, and the selftest counts thousands of sequences
     symbols = c.symbols
+    keys = alphabet(c.order)
     counts = {}
-    for sym in alphabet(c.order):
-        counts[sym] = symbols.count(sym)
+    rest = len(symbols)
+    for sym in keys[:-1]:
+        k = counts[sym] = symbols.count(sym)
+        rest -= k
+    counts[keys[-1]] = rest
     return counts
 
 

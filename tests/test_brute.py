@@ -5,6 +5,7 @@ import pytest
 
 from spincorr import brute, sequences
 from spincorr.brute import (
+    base8_count_layers,
     conserved_quantum_numbers,
     counts_key_to_qn8,
     enumerate_base8_counts,
@@ -50,6 +51,28 @@ class TestEnumerateBase8Counts:
             enumerate_base8_counts(n)
         monkeypatch.setattr(sequences, "ENUM_CAP", 8**n)
         assert sum(enumerate_base8_counts(n).values()) == 8**n
+
+    def test_grown_layers_equal_enumeration(self):
+        """One pass yields every length's bins, each equal to its own
+        enumeration, key order included."""
+        layers = list(base8_count_layers(6))
+        assert len(layers) == 7
+        for i, bins in enumerate(layers):
+            reference = enumerate_base8_counts(i)
+            assert bins == reference
+            assert list(bins) == list(reference)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_layers_budget_counts_last_layer_first(self, n, monkeypatch):
+        monkeypatch.setattr(sequences, "ENUM_CAP", 8**n - 1)
+        layers = base8_count_layers(n)
+        # the first next() raises, so no layer, not even n = 0, was yielded
+        with pytest.raises(BudgetExceededError):
+            next(layers)
+        monkeypatch.setattr(sequences, "ENUM_CAP", 8**n)
+        assert [sum(bins.values()) for bins in base8_count_layers(n)] == [
+            8**i for i in range(n + 1)
+        ]
 
     def test_cap_refuses_n9(self):
         # n = 8 covers exactly ENUM_CAP sequences; test_covers_every_sequence runs it
@@ -190,9 +213,11 @@ class TestMapConservation:
 
 
 class TestRandomBits:
-    @pytest.mark.parametrize("count", [0, 1, 2, 3, 64, 5000])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 64, 5000, 192_000])
     def test_same_bits_and_state_as_randrange(self, count):
-        for seed in range(50):
+        # 192,000 bits is the triple check's draw at n = 64 (3 * 64 * 1000);
+        # three seeds keep it fast
+        for seed in range(3 if count > 5000 else 50):
             rng, reference = random.Random(seed), random.Random(seed)
             bits = random_bits(rng, count)
             assert bits == tuple(reference.randrange(2) for _ in range(count))

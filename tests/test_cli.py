@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -328,6 +329,33 @@ class TestSelftest:
         assert os.getpid() == pid
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("outcome", ["passes", "check_error"])
+    def test_heap_frozen_only_around_the_fork(self, monkeypatch, outcome):
+        """The heap is frozen when the child is forked and unfrozen once it
+        is reaped, so a long-lived caller such as pytest keeps collecting;
+        also when a forked check raises and the parent runs it again."""
+        from spincorr import selftest
+
+        frozen_at_fork = []
+        fork = os.fork
+
+        def recording_fork():
+            frozen_at_fork.append(gc.get_freeze_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        if outcome == "check_error":
+            def broken(n_max, tj_max):
+                raise ZeroDivisionError("broken check")
+
+            monkeypatch.setattr(selftest, "check_bounds_equivalence", broken)
+            with pytest.raises(ZeroDivisionError, match="broken check"):
+                selftest.run_selftest(seed=0, n_max=2)
+        else:
+            assert selftest.run_selftest(seed=0, n_max=2)
+        assert len(frozen_at_fork) == 1 and frozen_at_fork[0] > 0
+        assert gc.get_freeze_count() == 0
 
     def test_random_triples_failure_messages_pinned(self, monkeypatch):
         """Each failure message names the drawn triple, so with the triangle

@@ -35,6 +35,16 @@ def test_all_lists_the_exports():
     assert sorted(spincorr.__all__) == sorted(EXPORTS)
 
 
+def test_trusted_constructors_are_not_exported():
+    # BitSeq/CorrSeq/QN4._trusted skip validation, so they stay private:
+    # reachable on their classes only, and test_all_lists_the_exports
+    # still counts 32 exports
+    for record in (spincorr.BitSeq, spincorr.CorrSeq, spincorr.QN4):
+        assert hasattr(record, "_trusted")
+    assert not [name for name in spincorr.__all__ if name.startswith("_")]
+    assert "_trusted" not in dir(spincorr)
+
+
 def test_star_import_and_dir_give_every_export():
     namespace = {}
     exec("from spincorr import *", namespace)

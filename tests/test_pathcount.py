@@ -400,6 +400,38 @@ class TestLimitIsCGSquared:
         assert (priors, rows) == (784, 2408)
 
 
+class TestExactAtEveryN:
+    """Where the model is exactly QM: P_n = CG^2 at every tested n, every
+    allowed pair has a single k term, and the priors are of one of four
+    kinds; the three statements hold for exactly the same priors."""
+
+    def test_exact_iff_single_k_term_iff_edge_priors(self):
+        priors = exact = 0
+        for tj1 in range(7):
+            for tj2 in range(7):
+                n0 = max(1, tj1 + tj2)
+                for tJ in j12_range(tj1, tj2):
+                    for tM in range(-tJ, tJ + 1, 2):
+                        pairs = allowed_m_pairs(tj1, tj2, tM)
+                        cg_rows = [(tm10, tm02, cg_squared(tj1, tj2, tm10, tm02, tJ, tM))
+                                   for tm10, tm02 in pairs]
+                        equal_cg2 = all(
+                            probability_table(Priors(n, tj1, tj2, tJ, tM)) == cg_rows
+                            for n in (n0, n0 + 1, n0 + 5, n0 + 40)
+                        )
+                        single_k = all(
+                            lo == hi
+                            for lo, hi in (k_bounds(tj1, tm10, tj2, tm02, tJ)
+                                           for tm10, tm02 in pairs)
+                        )
+                        edge = (min(tj1, tj2) <= 1 or tJ == tj1 + tj2
+                                or tJ == abs(tj1 - tj2) or abs(tM) == tJ)
+                        assert equal_cg2 == single_k == edge, (tj1, tj2, tJ, tM)
+                        priors += 1
+                        exact += edge
+        assert (priors, exact) == (784, 559)
+
+
 @st.composite
 def any_priors(draw):
     """A prior with j1, j2 <= 6, any J and M they allow, and n from

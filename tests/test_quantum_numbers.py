@@ -84,6 +84,13 @@ class TestQN4:
         c = counts4(*parts)
         assert counts4_from_qn4(qn4_from_counts(c)) == c
 
+    @pytest.mark.parametrize("negative", "ABCD")
+    def test_negative_count_rejected(self, negative):
+        # qn4_of_corrseq trusts its counts; qn4_from_counts keeps validating
+        c = {sym: -1 if alias == negative else 3 for alias, sym in zip("ABCD", (A, B, C, D))}
+        with pytest.raises(InvalidQuantumNumberError):
+            qn4_from_counts(c)
+
     def test_string_rendering(self):
         q = QN4(tj=3, tm=-1, tg=3, tl=1)
         assert str(q) == "(j=3/2, m=-1/2, g=3/2, l=1/2)"
@@ -93,7 +100,11 @@ class TestQN4:
         for n in range(1, 6):
             for symbols in itertools.product((A, B, C, D), repeat=n):
                 c = CorrSeq(2, symbols)
-                assert qn4_of_corrseq(c) == qn4_from_counts(Counter(c.symbols)), symbols
+                q = qn4_of_corrseq(c)
+                assert q == qn4_from_counts(Counter(c.symbols)), symbols
+                # built through QN4._trusted, and equal to a validated QN4
+                assert type(q) is QN4
+                assert q == QN4(*q) and hash(q) == hash(QN4(*q))
 
 
 class TestQN8:

@@ -1,4 +1,5 @@
 import inspect
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from spincorr.errors import BudgetExceededError
 from spincorr.sequences import (
     BitSeq,
     CorrSeq,
+    alphabet,
     apply_map,
     correlate,
     count_symbols,
@@ -166,6 +168,18 @@ class TestCountSymbols:
         assert ab[C] == ba[D] and ab[D] == ba[C]
         assert ab[A] == ba[A] and ab[B] == ba[B]
 
+    @pytest.mark.parametrize("d, n_max", [(1, 8), (2, 5), (3, 3)])
+    def test_equals_completed_counter(self, d, n_max):
+        """The last count is derived, not counted; it must still equal a
+        Counter's, for every sequence, in the same key order."""
+        for n in range(1, n_max + 1):
+            for c in enumerate_sequences(n, d):
+                counter = Counter(c.symbols)
+                expected = {sym: counter[sym] for sym in alphabet(d)}
+                counts = count_symbols(c)
+                assert counts == expected, c
+                assert list(counts) == list(expected)
+
     @given(pair=bitseq_pairs)
     def test_totals_equal_n(self, pair):
         a, b = pair
@@ -287,6 +301,19 @@ class TestTrustedResults:
         assert mapped == corr4("C")
         assert_same_as_validated(mapped)
         assert apply_map(corr4("B"), FakeSeq(order=2, symbols=((True, 0.0),))) == corr4("D")
+
+    def test_counted_inputs_validated(self):
+        # count_symbols derives its last count, and qn4_of_corrseq trusts the
+        # counts, so a symbol outside the alphabet must raise, not be counted
+        from spincorr.quantum_numbers import qn4_of_corrseq
+
+        for symbols in (((0, 2),), ((1, 0, 1),), ((0, 0), (1,))):
+            with pytest.raises(ValueError, match=SYMBOL_MESSAGE):
+                count_symbols(FakeSeq(order=2, symbols=symbols))
+            with pytest.raises(ValueError, match=SYMBOL_MESSAGE):
+                qn4_of_corrseq(FakeSeq(order=2, symbols=symbols))
+        # a bit CorrSeq accepts is counted as that int
+        assert count_symbols(FakeSeq(order=2, symbols=((1.0, True),))) == {A: 0, D: 0, C: 0, B: 1}
 
     @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
     def test_enumerated_sequences(self, n, d):
