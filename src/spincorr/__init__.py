@@ -32,7 +32,6 @@ _EXPORTS = {
         "qn4_from_counts",
         "qn4_of_corrseq",
         "qn8_from_counts",
-        "qn8_of_corrseq",
     ),
     "selection": (
         "allowed_m_pairs",
@@ -47,7 +46,6 @@ _EXPORTS = {
         "apply_map",
         "correlate",
         "count_symbols",
-        "enumerate_sequences",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,7 +8,8 @@ so a base-8 symbol reads (x1, x0, x2) and the (10), (02), (12) pairs are the
 first two, last two and outer two bits respectively.
 
 All quantum numbers are doubled integers (see halfint); k, being itself a
-count, is a plain integer.
+count, is a plain integer.  QN4 and QN8 hold those integers only: turning
+them into fractions or text is left to halfint and cli, at the edges.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from math import factorial
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidQuantumNumberError
-from .halfint import format_half_integer
 from .selection import require_projection
 from .sequences import PAIR_OF_ALIAS, CorrSeq, alphabet, count_symbols
 
@@ -66,27 +66,6 @@ class QN4(namedtuple("QN4", "tj tm tg tl")):
     def n(self) -> int:
         return self.tj + self.tg
 
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.tj, 2)
-
-    @property
-    def m(self) -> Fraction:
-        return Fraction(self.tm, 2)
-
-    @property
-    def g(self) -> Fraction:
-        return Fraction(self.tg, 2)
-
-    @property
-    def l(self) -> Fraction:
-        return Fraction(self.tl, 2)
-
-    def __str__(self) -> str:
-        return "(j=%s, m=%s, g=%s, l=%s)" % tuple(
-            format_half_integer(tv) for tv in (self.tj, self.tm, self.tg, self.tl)
-        )
-
 
 class QN8(namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
     """The complete eight-number set labelling a base-8 sequence: an
@@ -110,35 +89,6 @@ class QN8(namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
     def _make(cls, iterable):
         # namedtuple's _make (and _replace, which calls it) skips __new__
         return cls(*iterable)
-
-    @property
-    def tm12(self) -> int:
-        return self.tm10 + self.tm02
-
-    @property
-    def tg10(self) -> int:
-        return self.n - self.tj10
-
-    @property
-    def tg02(self) -> int:
-        return self.n - self.tj02
-
-    @property
-    def tg12(self) -> int:
-        return self.n - self.tj12
-
-    @property
-    def tl10(self) -> int:
-        # l12 = l10 + m02
-        return self.tl12 - self.tm02
-
-    @property
-    def tl02(self) -> int:
-        # l12 = l02 - m10
-        return self.tl12 + self.tm10
-
-    def is_valid(self) -> bool:
-        return counts8_from_qn8(self) is not None
 
 
 def _doubled_jmgl(a: int, b: int, cc: int, d: int) -> Tuple[int, int, int, int]:
@@ -250,12 +200,6 @@ def f_factor(n: int, tj: int, tm: int) -> Fraction:
     c = (tj + tm) // 2
     d = (tj - tm) // 2
     return Fraction(factorial(c) * factorial(d) * factorial(n - c - d), factorial(n))
-
-
-def qn8_of_corrseq(c: CorrSeq) -> QN8:
-    if c.order != 3:
-        raise ValueError("base-8 quantum numbers need an order-3 sequence")
-    return qn8_from_counts(count_symbols(c))
 
 
 def pair_counts4(c8: Counts8, pair: str) -> Counts4:

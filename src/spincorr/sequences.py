@@ -12,7 +12,7 @@ import functools
 import itertools
 from collections import namedtuple
 from operator import attrgetter, xor
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import BudgetExceededError
 
@@ -23,7 +23,6 @@ ENUM_CAP = 1 << 24
 
 ALIAS_OF_PAIR = {(0, 0): "A", (1, 1): "B", (1, 0): "C", (0, 1): "D"}
 PAIR_OF_ALIAS = {v: k for k, v in ALIAS_OF_PAIR.items()}
-_BIT_OF_CHAR = {"0": 0, "1": 1}
 _BITS = attrgetter("bits")
 
 
@@ -72,15 +71,6 @@ class BitSeq(namedtuple("BitSeq", "bits")):
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-    @classmethod
-    def from_string(cls, text: str) -> "BitSeq":
-        """Read a non-empty text of 0s and 1s; any other text raises a plain
-        ValueError that names it."""
-        try:
-            return cls(tuple(_BIT_OF_CHAR[ch] for ch in text.strip()))
-        except (KeyError, ValueError):
-            raise ValueError(f"a bit sequence is written in 0 and 1 only: {text!r}") from None
 
 
 class CorrSeq(namedtuple("CorrSeq", "order symbols")):
@@ -210,16 +200,6 @@ def check_enum_cap(total: int) -> None:
         )
 
 
-def enumerate_sequences(n: int, d: int) -> Iterator[CorrSeq]:
-    """All 2^(d*n) order-d sequences of length n, in lexicographic order."""
-    check_enum_cap(1 << (d * n))
-    # CorrSeq's checks of n and d, on the first sequence; every sequence is
-    # built from alphabet(d), so none needs its symbols validated again
-    CorrSeq(d, alphabet(d)[:1] * n)
-    for symbols in itertools.product(alphabet(d), repeat=n):
-        yield CorrSeq._trusted(d, symbols)
-
-
 def render(c: CorrSeq) -> str:
     """Text form: d=1 "100101", d=2 "CADBAC", d>=3 "110,111,100"."""
     if c.order == 1:
@@ -227,20 +207,3 @@ def render(c: CorrSeq) -> str:
     if c.order == 2:
         return "".join(ALIAS_OF_PAIR[sym] for sym in c.symbols)
     return ",".join("".join(str(b) for b in sym) for sym in c.symbols)
-
-
-def parse(text: str) -> CorrSeq:
-    """Parse the forms produced by :func:`render`; any other text raises a
-    plain ValueError that names it."""
-    stripped = text.strip()
-    try:
-        if stripped[:1] in PAIR_OF_ALIAS:
-            return CorrSeq(order=2, symbols=tuple(PAIR_OF_ALIAS[ch] for ch in stripped))
-        # bit groups between commas, or one bit per group without a comma
-        groups = stripped.split(",") if "," in stripped else stripped
-        symbols = tuple(tuple(_BIT_OF_CHAR[ch] for ch in group.strip()) for group in groups)
-        return CorrSeq(order=len(symbols[0]), symbols=symbols)
-    except (LookupError, ValueError):
-        raise ValueError(
-            f"not a sequence in 0/1, A/B/C/D or comma-separated bit groups: {text!r}"
-        ) from None

@@ -13,8 +13,12 @@ from spincorr.pathcount import Priors, probability_table
 from spincorr.quantum_numbers import phi
 from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import check_normalization, check_random_triples
-from spincorr.sequences import parse
+from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq
 from spincorr.brute import conserved_quantum_numbers
+
+
+def corr4(text):
+    return CorrSeq(2, tuple(PAIR_OF_ALIAS[alias] for alias in text))
 
 
 def report(name, ok=True):
@@ -100,7 +104,7 @@ class TestAcceptance:
     def test_07_map_permutation_property(self):
         rep = map_conservation_report(n=32, trials=1000, seed=7)
         assert rep["ok"], rep["mismatches"]
-        appendix_map = conserved_quantum_numbers(parse("AACBBA"), parse("BACAAD"))
+        appendix_map = conserved_quantum_numbers(corr4("AACBBA"), corr4("BACAAD"))
         assert appendix_map == frozenset("jg")
         report("criterion 7: permutation maps conserve j, m, g, l")
 

@@ -16,7 +16,11 @@ from spincorr.brute import (
 )
 from spincorr.errors import BudgetExceededError
 from spincorr.quantum_numbers import QN8, phi
-from spincorr.sequences import ENUM_CAP, CorrSeq, parse
+from spincorr.sequences import ENUM_CAP, PAIR_OF_ALIAS, CorrSeq, apply_map
+
+
+def corr4(text):
+    return CorrSeq(2, tuple(PAIR_OF_ALIAS[alias] for alias in text))
 
 
 def literal_base8_counts(n):
@@ -152,21 +156,19 @@ class TestWitnessTriples:
 
 class TestMapConservation:
     def test_identity_map_conserves_all(self):
-        x = parse("CADBAC")
-        identity = parse("AAAAAA")
+        x = corr4("CADBAC")
+        identity = corr4("AAAAAA")
         assert conserved_quantum_numbers(x, identity) == frozenset("jmgl")
 
     def test_appendix_example_conserves_j_and_g_only(self):
-        initial = parse("AACBBA")
-        mapping = parse("BACAAD")
+        initial = corr4("AACBBA")
+        mapping = corr4("BACAAD")
         assert conserved_quantum_numbers(initial, mapping) == frozenset("jg")
 
     def test_row_swap_permutation_conserves_all(self):
-        initial = parse("CADB")
+        initial = corr4("CADB")
         swapped = CorrSeq(2, (initial.symbols[1], initial.symbols[0],
                               initial.symbols[3], initial.symbols[2]))
-        from spincorr.sequences import apply_map
-
         mapping = apply_map(initial, swapped)
         assert conserved_quantum_numbers(initial, mapping) == frozenset("jmgl")
 

@@ -18,11 +18,10 @@ EXPORTS = [
     "format_half_integer", "parse_half_integer",
     "Priors", "f_factor", "k_bounds", "phi", "probability_table",
     "QN4", "QN8", "counts4_from_qn4", "counts8_from_qn8", "qn4_from_counts",
-    "qn4_of_corrseq", "qn8_from_counts", "qn8_of_corrseq",
+    "qn4_of_corrseq", "qn8_from_counts",
     "allowed_m_pairs", "check_triangle", "g12_range", "j12_bounds_constrained",
     "j12_range",
     "BitSeq", "CorrSeq", "apply_map", "correlate", "count_symbols",
-    "enumerate_sequences",
 ]
 SUBMODULES = [
     "brute", "cg", "cli", "errors", "halfint", "pathcount", "quantum_numbers",
@@ -31,14 +30,14 @@ SUBMODULES = [
 
 
 def test_all_lists_the_exports():
-    assert len(EXPORTS) == 32
+    assert len(EXPORTS) == 30
     assert sorted(spincorr.__all__) == sorted(EXPORTS)
 
 
 def test_trusted_constructors_are_not_exported():
     # BitSeq/CorrSeq/QN4._trusted skip validation, so they stay private:
     # reachable on their classes only, and test_all_lists_the_exports
-    # still counts 32 exports
+    # still counts 30 exports
     for record in (spincorr.BitSeq, spincorr.CorrSeq, spincorr.QN4):
         assert hasattr(record, "_trusted")
     assert not [name for name in spincorr.__all__ if name.startswith("_")]
@@ -111,6 +110,22 @@ def test_selection_is_a_leaf():
                           text=True, timeout=30, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["['spincorr.errors', 'spincorr.selection']"]
+
+
+def test_quantum_numbers_keeps_doubled_integers():
+    # QN4 and QN8 hold doubled integers only; halfint and cli turn them into
+    # fractions or text at the edges, so the quantum numbers never load halfint
+    script = (
+        "import sys, spincorr.quantum_numbers\n"
+        "print(sorted(m for m in sys.modules if m.startswith('spincorr.')))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "['spincorr.errors', 'spincorr.quantum_numbers', 'spincorr.selection', "
+        "'spincorr.sequences']"
+    ]
 
 
 GUARDED_SESSION = """

@@ -1,19 +1,17 @@
-import inspect
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spincorr.errors import BudgetExceededError
 from spincorr.sequences import (
+    PAIR_OF_ALIAS,
     BitSeq,
     CorrSeq,
     alphabet,
     apply_map,
     correlate,
     count_symbols,
-    enumerate_sequences,
-    parse,
     render,
 )
 
@@ -24,11 +22,11 @@ SYMBOL_MESSAGE = "every symbol must be a 2-tuple of bits"
 
 
 def bitseq(text):
-    return BitSeq.from_string(text)
+    return BitSeq(tuple(map(int, text)))
 
 
 def corr4(text):
-    return parse(text)
+    return CorrSeq(2, tuple(PAIR_OF_ALIAS[alias] for alias in text))
 
 
 bits = st.integers(min_value=0, max_value=1)
@@ -152,7 +150,7 @@ class TestCountSymbols:
         assert all(type(b) is int for sym in counts for b in sym)
 
     def test_base8_triple(self):
-        c = parse("110,111,100,011")
+        c = CorrSeq(3, ((1, 1, 0), (1, 1, 1), (1, 0, 0), (0, 1, 1)))
         counts = count_symbols(c)
         assert counts[(1, 1, 0)] == 1
         assert counts[(1, 1, 1)] == 1
@@ -173,7 +171,8 @@ class TestCountSymbols:
         """The last count is derived, not counted; it must still equal a
         Counter's, for every sequence, in the same key order."""
         for n in range(1, n_max + 1):
-            for c in enumerate_sequences(n, d):
+            for symbols in product(alphabet(d), repeat=n):
+                c = CorrSeq(d, symbols)
                 counter = Counter(c.symbols)
                 expected = {sym: counter[sym] for sym in alphabet(d)}
                 counts = count_symbols(c)
@@ -203,7 +202,7 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             apply_map(corr4("AB"), corr4("ABA"))
         with pytest.raises(ValueError):
-            apply_map(corr4("AB"), parse("110,111"))
+            apply_map(corr4("AB"), CorrSeq(3, ((1, 1, 0), (1, 1, 1))))
 
     @given(
         data=st.lists(
@@ -315,11 +314,6 @@ class TestTrustedResults:
         # a bit CorrSeq accepts is counted as that int
         assert count_symbols(FakeSeq(order=2, symbols=((1.0, True),))) == {A: 0, D: 0, C: 0, B: 1}
 
-    @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
-    def test_enumerated_sequences(self, n, d):
-        for c in enumerate_sequences(n, d):
-            assert_same_as_validated(c)
-
 
 class TestRecordTypes:
     """BitSeq and CorrSeq are validated named tuples, as pathcount.Priors
@@ -363,58 +357,20 @@ class TestRecordTypes:
             CorrSeq._make([0, ((1, 0),)])
 
 
-class TestEnumerate:
-    @pytest.mark.parametrize("n,d,expected", [(3, 1, 8), (1, 3, 8), (2, 2, 16)])
-    def test_counts(self, n, d, expected):
-        seqs = list(enumerate_sequences(n, d))
-        assert len(seqs) == expected
-        assert len(set(seqs)) == expected
-
-    def test_lexicographic_and_deterministic(self):
-        first = [render(c) for c in enumerate_sequences(2, 1)]
-        second = [render(c) for c in enumerate_sequences(2, 1)]
-        assert first == second == ["00", "01", "10", "11"]
-
-    @pytest.mark.parametrize("n,d", [(4, 1), (3, 2), (2, 3), (12, 1)])
-    def test_no_duplicates(self, n, d):
-        seqs = list(enumerate_sequences(n, d))
-        assert len(set(seqs)) == len(seqs) == 2 ** (d * n)
-
-    @pytest.mark.parametrize(
-        "n,d,message",
-        [(0, 2, "length n >= 1"), (2, 0, "order must be positive")],
-    )
-    def test_empty_length_or_order_rejected(self, n, d, message):
-        with pytest.raises(ValueError, match=message):
-            next(enumerate_sequences(n, d))
-
-    def test_budget(self):
-        # 2^25 sequences: one more doubling than ENUM_CAP allows
-        with pytest.raises(BudgetExceededError, match="budget"):
-            next(enumerate_sequences(25, 1))
-
-
 class TestTextForms:
     @pytest.mark.parametrize(
-        "text", ["100101", "CADBAC", "110,111,100,011"]
+        "c, text",
+        [
+            (CorrSeq(1, ((1,), (0,), (0,), (1,), (0,), (1,))), "100101"),
+            (CorrSeq(2, ((1, 0), (0, 0), (0, 1), (1, 1), (0, 0), (1, 0))), "CADBAC"),
+            (CorrSeq(3, ((1, 1, 0), (1, 1, 1), (1, 0, 0), (0, 1, 1))), "110,111,100,011"),
+        ],
+        ids=["100101", "CADBAC", "110,111,100,011"],
     )
-    def test_round_trip(self, text):
-        assert render(parse(text)) == text
-
-    @pytest.mark.parametrize("read", [parse, BitSeq.from_string], ids=["parse", "from_string"])
-    @pytest.mark.parametrize("text", ["AX", "A1", "1x", "1A", "1,", "0,01", "10,1x"])
-    def test_bad_text_raises_value_error_naming_it(self, read, text):
-        with pytest.raises(ValueError) as excinfo:
-            read(text)
-        assert excinfo.type is ValueError
-        assert repr(text) in str(excinfo.value)
-
-    def test_text_is_the_only_parameter(self):
-        # "01" is read as bits: no order= argument can make it an alias text
-        assert list(inspect.signature(parse).parameters) == ["text"]
-        assert parse("01") == CorrSeq(1, ((0,), (1,)))
-        with pytest.raises(TypeError):
-            parse("01", order=2)
+    def test_render(self, c, text):
+        # the triple and map checks print sequences in this form
+        assert render(c) == text
+        assert str(c) == text
 
     def test_bitseq_round_trip(self):
         assert str(bitseq("100101")) == "100101"
