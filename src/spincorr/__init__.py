@@ -51,7 +51,7 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (
     "brute", "cg", "cli", "errors", "halfint", "pathcount",
-    "quantum_numbers", "selection", "selftest", "sequences",
+    "quantum_numbers", "records", "selection", "selftest", "sequences",
 )
 
 __all__ = list(_MODULE_OF)

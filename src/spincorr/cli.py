@@ -141,7 +141,7 @@ def cmd_selftest(args) -> int:
     # imported here: only selftest loads the oracles and sequence modules
     from .selftest import run_selftest
 
-    ok = run_selftest(seed=args.seed, n_max=args.n_max)
+    ok = run_selftest(seed=args.seed)
     return EXIT_OK if ok else EXIT_SELFTEST
 
 
@@ -232,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in verification suite")
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--n-max", type=_count, default=None,
-                   help="cap for enumeration (default 6) and sampling (default 64)")
     p.set_defaults(func=cmd_selftest)
 
     return parser

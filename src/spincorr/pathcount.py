@@ -28,10 +28,11 @@ from typing import List, Tuple
 
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .halfint import format_half_integer
+from .records import Record
 from .selection import allowed_m_pairs, check_triangle, g12_range, require_projection
 
 
-class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
+class Priors(Record, namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
     """The known quantum numbers of a decay / composition experiment:
     an immutable, validated named tuple.  It holds the closed form's n floor
     n >= 2(j10 + j02), where the lower bound of g12_range is not negative."""
@@ -51,11 +52,6 @@ class Priors(namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
         if n < 1:
             raise InvalidQuantumNumberError("n must be positive")
         return super().__new__(cls, n, tj10, tj02, tj12, tm12)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
 
 
 def k_bounds(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> Tuple[int, int]:

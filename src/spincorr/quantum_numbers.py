@@ -20,6 +20,7 @@ from math import factorial
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidQuantumNumberError
+from .records import Record
 from .selection import require_projection
 from .sequences import PAIR_OF_ALIAS, CorrSeq, alphabet, count_symbols
 
@@ -34,13 +35,14 @@ SYMBOLS8 = alphabet(3)
 PAIRS = {"10": (0, 1), "02": (1, 2), "12": (0, 2)}
 
 
-class QN4(namedtuple("QN4", "tj tm tg tl")):
+class QN4(Record, namedtuple("QN4", "tj tm tg tl")):
     """Quantum numbers of one base-4 sequence, as doubled integers; (j, m)
     and (g, l) pass check_projection, which makes j and g nonnegative and
     the four counts nonnegative integers.
 
     An immutable, validated named tuple, so it equals the plain tuple
-    (tj, tm, tg, tl).
+    (tj, tm, tg, tl).  _trusted takes the doubled quantum numbers of four
+    nonnegative int counts.
     """
 
     __slots__ = ()
@@ -50,24 +52,12 @@ class QN4(namedtuple("QN4", "tj tm tg tl")):
         require_projection(tg, tl, "l", "g")
         return tuple.__new__(cls, (tj, tm, tg, tl))
 
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
-
-    @classmethod
-    def _trusted(cls, tj: int, tm: int, tg: int, tl: int) -> "QN4":
-        """A QN4 of fields already known valid: the doubled quantum numbers
-        of four nonnegative int counts.  Skips the checks of __new__; for
-        values built by this package only."""
-        return tuple.__new__(cls, (tj, tm, tg, tl))
-
     @property
     def n(self) -> int:
         return self.tj + self.tg
 
 
-class QN8(namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
+class QN8(Record, namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
     """The complete eight-number set labelling a base-8 sequence: an
     immutable, validated named tuple, so it equals the plain tuple of its
     eight fields.
@@ -84,11 +74,6 @@ class QN8(namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
         if n < 1:
             raise InvalidQuantumNumberError("n must be positive")
         return tuple.__new__(cls, (n, tj10, tj02, tm10, tm02, tj12, tl12, k))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
 
 
 def _doubled_jmgl(a: int, b: int, cc: int, d: int) -> Tuple[int, int, int, int]:

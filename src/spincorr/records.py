@@ -1,0 +1,28 @@
+"""The construction rules shared by the package's validated named tuples.
+
+Each record is `class X(Record, namedtuple(...))` with its own validating
+__new__.  This module imports nothing of the package, so any module can
+build on it.
+"""
+
+
+class Record(tuple):
+    """Base of a validated, immutable named tuple.
+
+    namedtuple's _make (and _replace, which calls it) skips __new__; the
+    _make here calls the record's validating __new__.  _trusted skips those
+    checks, for fields already known valid (BitSeq, CorrSeq and QN4 say in
+    their docstrings what that takes); for values built by this package
+    only.  Priors and QN8 inherit a _trusted that nothing calls: the cost
+    of defining it once.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        return tuple.__new__(cls, fields)

@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from . import brute
 from .pathcount import Priors, normalize, path_weights, probability_table
@@ -247,47 +247,34 @@ def _run_beside(forked: List[Check], here: List[Check]) -> List[Result]:
     return results + marshal.loads(data)
 
 
-def run_selftest(seed: int = 0, n_max: Optional[int] = None) -> bool:
+def run_selftest(seed: int = 0) -> bool:
     """Run every check; print the seed and one line per check to stdout,
     then each check's time to stderr.
 
-    n_max caps the enumeration (6 if None) and the sampling (64 if None).
     The seeded checks draw from one random.Random(seed) in a fixed order.
     The three seed-free checks take no rng, so where os.fork exists they
     run in a forked child at the same time, which leaves the draw stream
     and stdout as they are.  Nothing is printed before every check is done.
     """
     rng = random.Random(seed)
-    enum_n_max, triple_n_max = n_max or 6, n_max or 64
-    triple_ns = [n for n in (4, 16, 64) if n <= triple_n_max] or [max(2, triple_n_max)]
-    map_n = min(32, triple_n_max)
-    norm_n = min(12, max(2, enum_n_max * 2))
 
     # (name, draws from rng, check) in print order; the checks that draw
     # run here in this order, the others beside them
     checks: List[Tuple[str, bool, Callable[[], List[str]]]] = [
-        (
-            "phi_by_enumeration equivalence",
-            False,
-            lambda: check_phi_equivalence(min(enum_n_max, 6)),
-        ),
+        ("phi_by_enumeration equivalence", False, lambda: check_phi_equivalence(6)),
         (
             "random-triple selection rules",
             True,
-            lambda: check_random_triples(triple_ns, 1000, rng),
+            lambda: check_random_triples([4, 16, 64], 1000, rng),
         ),
         ("count/quantum-number round trips", True, lambda: check_roundtrips(1000, rng)),
         (
             "permutation map conservation",
             True,
-            lambda: check_permutation_maps(map_n, 200, rng),
+            lambda: check_permutation_maps(32, 200, rng),
         ),
-        ("exact normalization", False, lambda: check_normalization(norm_n, 2)),
-        (
-            "summation bounds equivalence",
-            False,
-            lambda: check_bounds_equivalence(min(norm_n, 8), 2),
-        ),
+        ("exact normalization", False, lambda: check_normalization(12, 2)),
+        ("summation bounds equivalence", False, lambda: check_bounds_equivalence(8, 2)),
     ]
     by_name = {
         name: (problems, ms)

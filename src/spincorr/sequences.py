@@ -15,6 +15,7 @@ from operator import attrgetter, xor
 from typing import Dict, Sequence, Tuple
 
 from .errors import BudgetExceededError
+from .records import Record
 
 Symbol = Tuple[int, ...]
 
@@ -37,11 +38,12 @@ def _bit_tuple(items) -> Tuple[int, ...] | None:
     return tuple(bits)
 
 
-class BitSeq(namedtuple("BitSeq", "bits")):
+class BitSeq(Record, namedtuple("BitSeq", "bits")):
     """A fixed-length sequence of bits; the ontic element of the model.
 
     An immutable, validated named tuple of one field, so it equals the plain
     tuple (bits,); len() is the sequence length n, not the field count.
+    _trusted takes bits that are a non-empty tuple of the ints 0 and 1.
     """
 
     __slots__ = ()
@@ -54,18 +56,6 @@ class BitSeq(namedtuple("BitSeq", "bits")):
             raise ValueError("bit sequence elements must be 0 or 1")
         return tuple.__new__(cls, (checked,))
 
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
-
-    @classmethod
-    def _trusted(cls, bits: Tuple[int, ...]) -> "BitSeq":
-        """A BitSeq of bits already known valid: a non-empty tuple of the
-        ints 0 and 1.  Skips the checks of __new__; for values built by
-        this package only."""
-        return tuple.__new__(cls, (bits,))
-
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -73,11 +63,13 @@ class BitSeq(namedtuple("BitSeq", "bits")):
         return "".join(str(b) for b in self.bits)
 
 
-class CorrSeq(namedtuple("CorrSeq", "order symbols")):
+class CorrSeq(Record, namedtuple("CorrSeq", "order symbols")):
     """A length-n sequence over the order-d product alphabet.
 
     An immutable, validated named tuple, so it equals the plain tuple
     (order, symbols); len() is the sequence length n, not the field count.
+    _trusted takes symbols that are a non-empty tuple of order-tuples of
+    the ints 0 and 1.
     """
 
     __slots__ = ()
@@ -95,18 +87,6 @@ class CorrSeq(namedtuple("CorrSeq", "order symbols")):
                 raise ValueError(f"every symbol must be a {order}-tuple of bits")
             checked.append(bits)
         return tuple.__new__(cls, (order, tuple(checked)))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
-
-    @classmethod
-    def _trusted(cls, order: int, symbols: Tuple[Symbol, ...]) -> "CorrSeq":
-        """A CorrSeq of symbols already known valid: a non-empty tuple of
-        order-tuples of the ints 0 and 1.  Skips the checks of __new__; for
-        values built by this package only."""
-        return tuple.__new__(cls, (order, symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -205,8 +205,8 @@ class TestConverge:
 
 
 class TestSelftest:
-    def test_reduced_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest", "--n-max", "2")
+    def test_default_suite_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert "seed: 0" in out
         assert "FAIL" not in out
@@ -217,7 +217,7 @@ class TestSelftest:
         from spincorr import selftest
 
         monkeypatch.setattr(selftest, "phi", lambda q, phi=selftest.phi: 2 * phi(q))
-        ok = selftest.run_selftest(seed=1, n_max=2)
+        ok = selftest.run_selftest(seed=1)
         captured = capsys.readouterr()
         assert not ok
         assert "FAIL phi_by_enumeration equivalence" in captured.out
@@ -239,7 +239,7 @@ class TestSelftest:
                     for (tm10, tm02, _), p in zip(rows, probs[1:] + probs[:1])]
 
         monkeypatch.setattr(pathcount, "normalize", rotated)
-        ok = run_selftest(seed=0, n_max=2)
+        ok = run_selftest(seed=0)
         out = capsys.readouterr().out
         assert not ok
         assert "PASS exact normalization" in out
@@ -292,20 +292,20 @@ class TestSelftest:
         assert tally == expected
         assert list(tally) == list(expected)
 
-    @pytest.mark.parametrize("seed, n_max", [(0, 2), (1, 2), (0, None)])
-    def test_stdout_same_without_fork(self, capsys, monkeypatch, seed, n_max):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stdout_same_without_fork(self, capsys, monkeypatch, seed):
         from spincorr.selftest import run_selftest
 
-        forked = run_selftest(seed=seed, n_max=n_max)
+        forked = run_selftest(seed=seed)
         forked_out = capsys.readouterr().out
         monkeypatch.delattr(os, "fork")
-        assert run_selftest(seed=seed, n_max=n_max) == forked
+        assert run_selftest(seed=seed) == forked
         assert capsys.readouterr().out == forked_out
 
     def test_timings_on_stderr(self, capsys):
         from spincorr.selftest import run_selftest
 
-        assert run_selftest(seed=0, n_max=2)
+        assert run_selftest(seed=0)
         captured = capsys.readouterr()
         names = [line.split(" ", 1)[1] for line in captured.out.splitlines()[1:]]
         lines = captured.err.splitlines()
@@ -325,7 +325,7 @@ class TestSelftest:
         monkeypatch.setattr(selftest, "check_bounds_equivalence", broken)
         pid = os.getpid()
         with pytest.raises(ZeroDivisionError, match="broken check"):
-            selftest.run_selftest(seed=0, n_max=2)
+            selftest.run_selftest(seed=0)
         assert os.getpid() == pid
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -351,9 +351,9 @@ class TestSelftest:
 
             monkeypatch.setattr(selftest, "check_bounds_equivalence", broken)
             with pytest.raises(ZeroDivisionError, match="broken check"):
-                selftest.run_selftest(seed=0, n_max=2)
+                selftest.run_selftest(seed=0)
         else:
-            assert selftest.run_selftest(seed=0, n_max=2)
+            assert selftest.run_selftest(seed=0)
         assert len(frozen_at_fork) == 1 and frozen_at_fork[0] > 0
         assert gc.get_freeze_count() == 0
 
@@ -433,7 +433,7 @@ for fmt in {formats!r}:
     spincorr.cli.main(["converge", *spins, "--n-start", "5", "--n-max", "40",
                        "--geometric", "--format", fmt])
     print("loaded after", fmt, "tables:", loaded({modules!r} + ["csv", "json"]))
-spincorr.cli.main(["selftest", "--n-max", "2"])
+spincorr.cli.main(["selftest"])
 print("loaded after selftest:", loaded({modules!r}))
 """
 
@@ -505,11 +505,10 @@ GOLDEN = [
                   "--n-start", "3", "--n-max", "11", "--step", "2", "--format", "json"], 0,
                  "9f3788c2854112018c22907909d9527872cd6244d6a0a9f9bb47835a901f0f4f",
                  id="converge-linear-json"),
-    pytest.param(["selftest", "--seed", "0", "--n-max", "2"], 0,
+    pytest.param(["selftest", "--seed", "0"], 0,
                  "b50c255c545fe78fdd68d50fa04c70de93f796bcb1d06b3763eed1689cdc7d15",
                  id="selftest-seed-0"),
-    # the full default suite, recorded before the selftest drew its random
-    # bits in bulk: it reaches n = 16 and 64, which --n-max 2 never does
+    # recorded before the selftest drew its random bits in bulk
     pytest.param(["selftest", "--seed", "12345"], 0,
                  "78a6e8a2152f6a7134b2d6a7b6cfd5d7b1398dcc1f77ec3af43476f56e2f91f1",
                  id="selftest-seed-12345-full"),
@@ -558,7 +557,8 @@ REGRESSIONS = [
                  False, id="prob-digits-negative"),
     pytest.param(["cg", *SPINS_1_1_1_0, "--digits", "x"], 2, "--digits", False,
                  id="cg-digits-not-integer"),
-    pytest.param(["selftest", "--n-max", "0"], 2, "--n-max", False, id="selftest-n-max-0"),
+    # the suite has one fixed size: --n-max is no selftest flag
+    pytest.param(["selftest", "--n-max", "2"], 2, "--n-max", False, id="selftest-n-max-2"),
     pytest.param(["cg", *HALF_SPINS_NEG_M, "--format", "json"], 0, "", False,
                  id="cg-negative-half-integer"),
     pytest.param(["prob", "--n", "4", *HALF_SPINS_NEG_M, "--format", "json"], 0, "",
@@ -596,7 +596,7 @@ REGRESSIONS = [
                  2, "not a half-integer", False, id="spin-plus-sign"),
     pytest.param(["prob", "--n", "1_0", *SPINS_1_1_1_0], 2, "--n", False,
                  id="n-underscore"),
-    pytest.param(["selftest", "--seed", "\u0663", "--n-max", "2"], 2, "--seed", False,
+    pytest.param(["selftest", "--seed", "\u0663"], 2, "--seed", False,
                  id="seed-arabic-indic-digit"),
     pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "2", "--n-max", "1_0"], 2,
                  "--n-max", False, id="converge-n-max-underscore"),
@@ -684,7 +684,7 @@ def spins(draw):
 def requests(draw):
     command = draw(st.sampled_from(["prob", "cg", "converge", "selftest"]))
     if command == "selftest":
-        return ["selftest", "--n-max", str(draw(st.integers(-3, 6)))]
+        return ["selftest", "--seed", str(draw(st.integers(-3, 6)))]
     argv = [command]
     for flag, value in zip(("--j1", "--j2", "--J", "--M"), draw(spins())):
         argv += [flag, value]

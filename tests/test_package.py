@@ -25,7 +25,7 @@ EXPORTS = [
 ]
 SUBMODULES = [
     "brute", "cg", "cli", "errors", "halfint", "pathcount", "quantum_numbers",
-    "selection", "selftest", "sequences",
+    "records", "selection", "selftest", "sequences",
 ]
 
 
@@ -87,6 +87,14 @@ def test_projection_rule_is_raised_in_selection_only():
     assert [p.name for p in sources if "must satisfy" in p.read_text()] == ["selection.py"]
 
 
+def test_record_construction_is_defined_in_records_only():
+    # records.Record is the one home of _make and _trusted; the five
+    # records inherit them instead of restating them
+    sources = sorted((ROOT / "src" / "spincorr").glob("*.py"))
+    for definition in ("def _make", "def _trusted"):
+        assert [p.name for p in sources if definition in p.read_text()] == ["records.py"]
+
+
 def test_bare_import_loads_no_submodule_until_asked():
     script = (
         "import sys, spincorr\n"
@@ -123,8 +131,8 @@ def test_quantum_numbers_keeps_doubled_integers():
                           text=True, timeout=30, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "['spincorr.errors', 'spincorr.quantum_numbers', 'spincorr.selection', "
-        "'spincorr.sequences']"
+        "['spincorr.errors', 'spincorr.quantum_numbers', 'spincorr.records', "
+        "'spincorr.selection', 'spincorr.sequences']"
     ]
 
 

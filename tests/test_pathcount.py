@@ -407,8 +407,8 @@ class TestExactAtEveryN:
 
     def test_exact_iff_single_k_term_iff_edge_priors(self):
         priors = exact = 0
-        for tj1 in range(7):
-            for tj2 in range(7):
+        for tj1 in range(11):
+            for tj2 in range(11):
                 n0 = max(1, tj1 + tj2)
                 for tJ in j12_range(tj1, tj2):
                     for tM in range(-tJ, tJ + 1, 2):
@@ -429,7 +429,7 @@ class TestExactAtEveryN:
                         assert equal_cg2 == single_k == edge, (tj1, tj2, tJ, tM)
                         priors += 1
                         exact += edge
-        assert (priors, exact) == (784, 559)
+        assert (priors, exact) == (4356, 2331)
 
 
 @st.composite
