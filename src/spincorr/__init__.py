@@ -28,6 +28,7 @@ _EXPORTS = {
         "counts4_from_qn4",
         "counts8_from_qn8",
         "f_factor",
+        "j12_bounds_constrained",
         "phi",
         "qn4_from_counts",
         "qn4_of_corrseq",
@@ -37,7 +38,6 @@ _EXPORTS = {
         "allowed_m_pairs",
         "check_triangle",
         "g12_range",
-        "j12_bounds_constrained",
         "j12_range",
     ),
     "sequences": (

@@ -11,17 +11,29 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from collections.abc import Iterator
 
+from .errors import BudgetExceededError
 from .quantum_numbers import (
     PAIRS, QN8, SYMBOLS8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts,
 )
-from .sequences import BitSeq, CorrSeq, apply_map, check_enum_cap, correlate
+from .sequences import BitSeq, CorrSeq, apply_map, correlate
+
+# the most sequences one exhaustive enumeration may cover: it grows as 2^(d*n)
+ENUM_CAP = 1 << 24
 
 PAIR_FIELDS = {pair: tuple(f"t{q}{pair}" for q in "jmgl") for pair in PAIRS}
 
 
-def base8_count_layers(n_max: int) -> Iterator[Dict[tuple, int]]:
+def check_enum_cap(total: int) -> None:
+    """Raise BudgetExceededError if `total` sequences exceed ENUM_CAP."""
+    if total > ENUM_CAP:
+        raise BudgetExceededError(
+            f"enumerating {total} sequences exceeds the budget of {ENUM_CAP}"
+        )
+
+
+def base8_count_layers(n_max: int) -> Iterator[dict[tuple, int]]:
     """Bin all 8^n order-3 sequences by their count vector, for each
     n = 0, 1, ..., n_max in turn: layer n is yielded before layer n + 1 is
     built, so one pass serves every length up to n_max.
@@ -34,10 +46,10 @@ def base8_count_layers(n_max: int) -> Iterator[Dict[tuple, int]]:
     last layer before the first layer is built.
     """
     check_enum_cap(8**n_max)
-    bins: Dict[tuple, int] = {(0,) * 8: 1}
+    bins: dict[tuple, int] = {(0,) * 8: 1}
     yield bins
     for _ in range(n_max):
-        longer: Dict[tuple, int] = {}
+        longer: dict[tuple, int] = {}
         for key, multiplicity in bins.items():
             for s in range(8):
                 grown = key[:s] + (key[s] + 1,) + key[s + 1 :]
@@ -46,7 +58,7 @@ def base8_count_layers(n_max: int) -> Iterator[Dict[tuple, int]]:
         yield bins
 
 
-def enumerate_base8_counts(n: int) -> Dict[tuple, int]:
+def enumerate_base8_counts(n: int) -> dict[tuple, int]:
     """Bin all 8^n order-3 sequences by their count vector: the last layer
     of base8_count_layers(n)."""
     for bins in base8_count_layers(n):
@@ -71,7 +83,7 @@ def phi_by_enumeration(q: QN8) -> int:
     return total
 
 
-def witness_triples(n: int, **constraints: int) -> Iterator[Tuple[BitSeq, BitSeq, BitSeq]]:
+def witness_triples(n: int, **constraints: int) -> Iterator[tuple[BitSeq, BitSeq, BitSeq]]:
     """All (s1, s0, s2) triples whose pairwise quantum numbers match the
     given doubled-integer constraints (e.g. tj10=2, tm02=-1, tj12=3).
 
@@ -96,7 +108,7 @@ def witness_triples(n: int, **constraints: int) -> Iterator[Tuple[BitSeq, BitSeq
             yield triple
 
 
-def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> FrozenSet[str]:
+def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> frozenset[str]:
     """Which of j, m, g, l the map leaves unchanged for this sequence."""
     before = qn4_of_corrseq(initial)
     after = qn4_of_corrseq(apply_map(initial, mapping))
@@ -111,7 +123,7 @@ _TOP_BYTE_TO_BIT = bytes(b >> 6 & 1 for b in range(256))
 _REJECTED_TOP_BYTES = bytes(range(0x80, 0x100))
 
 
-def random_bits(rng: random.Random, count: int) -> Tuple[int, ...]:
+def random_bits(rng: random.Random, count: int) -> tuple[int, ...]:
     """count random bits: exactly tuple(rng.randrange(2) for _ in range(count)),
     leaving rng in exactly the state those calls leave it in.
 
@@ -136,17 +148,13 @@ def random_bits(rng: random.Random, count: int) -> Tuple[int, ...]:
     return tuple(bits)
 
 
-def _columns_corrseq(bits: Tuple[int, ...], n: int) -> CorrSeq:
-    """The order-2 sequence whose columns are bits[:n] and bits[n:2n]."""
-    return CorrSeq._trusted(2, tuple(zip(bits[:n], bits[n : 2 * n])))
-
-
 def _random_corrseq(rng: random.Random, n: int) -> CorrSeq:
     """Two random n-bit columns correlated, drawn first column first."""
-    return _columns_corrseq(random_bits(rng, 2 * n), n)
+    bits = random_bits(rng, 2 * n)
+    return correlate([BitSeq._trusted(bits[:n]), BitSeq._trusted(bits[n:])])
 
 
-def map_conservation_report(n: int, trials: int, seed: int) -> Dict:
+def map_conservation_report(n: int, trials: int, seed: int) -> dict:
     """Sample random maps and permutations, classifying conservation.
 
     Checks both directions of the permutation law: a map conserving all of
@@ -154,15 +162,16 @@ def map_conservation_report(n: int, trials: int, seed: int) -> Dict:
     map built from a row permutation conserves all four.
     """
     rng = random.Random(seed)
-    conserved_tally: Dict[FrozenSet[str], int] = {}
-    mismatches: List[str] = []
+    conserved_tally: dict[frozenset[str], int] = {}
+    mismatches: list[str] = []
 
     # every trial's initial sequence, then its map, 2n bits each, in one
     # draw: the same stream as one draw per sequence
     bits = random_bits(rng, 4 * n * trials)
     for t in range(0, 4 * n * trials, 4 * n):
-        initial = _columns_corrseq(bits[t : t + 2 * n], n)
-        mapping = _columns_corrseq(bits[t + 2 * n : t + 4 * n], n)
+        seqs = [BitSeq._trusted(bits[i : i + n]) for i in range(t, t + 4 * n, n)]
+        initial = correlate(seqs[:2])
+        mapping = correlate(seqs[2:])
         conserved = conserved_quantum_numbers(initial, mapping)
         conserved_tally[conserved] = conserved_tally.get(conserved, 0) + 1
         if conserved == frozenset("jmgl"):

@@ -12,9 +12,9 @@ Only squares are exposed; sign conventions never enter.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial, perm
-from typing import Iterable, List, Tuple
 
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .pathcount import Priors, probability_table
@@ -81,11 +81,11 @@ ConvergenceRow = namedtuple("ConvergenceRow", "n tm10 tm02 p cg2 delta")
 
 def convergence_scan(
     tj1: int, tj2: int, tJ: int, tM: int, n_list: Iterable[int]
-) -> Tuple[List[ConvergenceRow], List[Tuple[int, str]]]:
+) -> tuple[list[ConvergenceRow], list[tuple[int, str]]]:
     """One row per n per allowed pair (ascending n, descending m10),
     plus a list of (n, reason) for skipped lengths."""
-    rows: List[ConvergenceRow] = []
-    skipped: List[Tuple[int, str]] = []
+    rows: list[ConvergenceRow] = []
+    skipped: list[tuple[int, str]] = []
     for n in sorted(set(n_list)):
         try:
             priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)

@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
 
 from .cg import cg_squared, convergence_scan, decimal_string
 from .errors import ConstraintError, InvalidQuantumNumberError
@@ -37,7 +37,7 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _emit(rows: List[Dict], args, command: str) -> None:
+def _emit(rows: list[dict], args, command: str) -> None:
     """Print rows, never empty, as JSON or as CSV headed by the first row's keys."""
     # json and csv are imported here: a request needs only the one it asked for
     if args.format == "json":
@@ -61,7 +61,7 @@ def _emit(rows: List[Dict], args, command: str) -> None:
         writer.writerows(rows)
 
 
-def _spins(args) -> Tuple[Tuple[int, int, int, int], Dict[str, str]]:
+def _spins(args) -> tuple[tuple[int, int, int, int], dict[str, str]]:
     """Parse and check --j1/--j2/--J/--M, the same way for every command.
 
     Returns the doubled integers and the rendered j1, j2, J, M row columns.
@@ -76,7 +76,7 @@ def _spins(args) -> Tuple[Tuple[int, int, int, int], Dict[str, str]]:
     return tj, {key: format_half_integer(t) for key, t in zip(SPIN_KEYS, tj)}
 
 
-def _row(spins: Dict, tm1: int, tm2: int, digits: int, n=None, **values: Fraction) -> Dict:
+def _row(spins: dict, tm1: int, tm2: int, digits: int, n=None, **values: Fraction) -> dict:
     """One output row: n (if any), the spins, m1, m2, then num/den/decimal
     columns for each named value, in argument order."""
     row = {} if n is None else {"n": n}
@@ -178,10 +178,10 @@ def _digits(text: str) -> int:
     return value
 
 
-def _join_negative_spins(argv: List[str]) -> List[str]:
+def _join_negative_spins(argv: list[str]) -> list[str]:
     """Glue a negative spin value to its flag ("--M", "-1/2" -> "--M=-1/2"):
     argparse reads any "-" token that is not a plain number as an option."""
-    joined: List[str] = []
+    joined: list[str] = []
     for token in argv:
         if joined and joined[-1] in SPIN_FLAGS and token[:1] == "-" and token[1:2].isdigit():
             joined[-1] += "=" + token

@@ -14,4 +14,4 @@ class ConstraintError(SpincorrError, ValueError):
 
 
 class BudgetExceededError(SpincorrError, RuntimeError):
-    """An exhaustive enumeration would exceed sequences.ENUM_CAP (2**24 sequences)."""
+    """An exhaustive enumeration would exceed brute.ENUM_CAP (2**24 sequences)."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import List, Tuple
 
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .halfint import format_half_integer
@@ -54,7 +53,7 @@ class Priors(Record, namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
         return super().__new__(cls, n, tj10, tj02, tj12, tm12)
 
 
-def k_bounds(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> Tuple[int, int]:
+def k_bounds(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> tuple[int, int]:
     """Range of the non-local count k compatible with the given j's and m's.
 
     Empty (k_min > k_max) only for a pair outside allowed_m_pairs; see _weight.
@@ -118,7 +117,7 @@ def _weight(priors: Priors, tm10: int, tm02: int) -> int:
     return factorial(c10) * factorial(d10) * factorial(c02) * factorial(d02) * total
 
 
-def path_weights(priors: Priors) -> List[Tuple[int, int, int]]:
+def path_weights(priors: Priors) -> list[tuple[int, int, int]]:
     """The positive integer _weight of every allowed (m10, m02) pair, in
     descending m10 order; there is at least one pair (see _weight)."""
     return [
@@ -127,14 +126,14 @@ def path_weights(priors: Priors) -> List[Tuple[int, int, int]]:
     ]
 
 
-def normalize(weights: List[Tuple[int, int, int]]) -> List[Tuple[int, int, Fraction]]:
+def normalize(weights: list[tuple[int, int, int]]) -> list[tuple[int, int, Fraction]]:
     """Each row of path_weights divided by their sum, as a Fraction; the sum
     is positive because every weight is."""
     norm = sum(w for _, _, w in weights)
     return [(tm10, tm02, Fraction(w, norm)) for tm10, tm02, w in weights]
 
 
-def probability_table(priors: Priors) -> List[Tuple[int, int, Fraction]]:
+def probability_table(priors: Priors) -> list[tuple[int, int, Fraction]]:
     """Normalized probability for every allowed (m10, m02) pair,
     in descending m10 order; entries sum to exactly 1."""
     return normalize(path_weights(priors))

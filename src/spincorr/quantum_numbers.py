@@ -17,15 +17,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Optional, Tuple
 
-from .errors import InvalidQuantumNumberError
+from .errors import ConstraintError, InvalidQuantumNumberError
 from .records import Record
 from .selection import require_projection
 from .sequences import PAIR_OF_ALIAS, CorrSeq, alphabet, count_symbols
 
-Counts4 = Dict[Tuple[int, int], int]
-Counts8 = Dict[Tuple[int, int, int], int]
+Counts4 = dict[tuple[int, int], int]
+Counts8 = dict[tuple[int, int, int], int]
 
 A, B, C, D = (PAIR_OF_ALIAS[alias] for alias in "ABCD")
 
@@ -76,7 +75,7 @@ class QN8(Record, namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
         return tuple.__new__(cls, (n, tj10, tj02, tm10, tm02, tj12, tl12, k))
 
 
-def _doubled_jmgl(a: int, b: int, cc: int, d: int) -> Tuple[int, int, int, int]:
+def _doubled_jmgl(a: int, b: int, cc: int, d: int) -> tuple[int, int, int, int]:
     """j=(C+D)/2, m=(C-D)/2, g=(A+B)/2, l=(A-B)/2 in doubled form, from the
     A, B, C, D counts."""
     return cc + d, cc - d, a + b, a - b
@@ -131,7 +130,7 @@ _DOUBLED_SYMBOLS = ((0, 1, 0), (1, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0
                     (1, 1, 1), (0, 0, 0))
 
 
-def counts8_from_qn8(q: QN8) -> Optional[Counts8]:
+def counts8_from_qn8(q: QN8) -> Counts8 | None:
     """Recover the eight counts, or None if any would be negative or
     non-integral (the summation engine skips such lattice points)."""
     n, tj10, tj02, tm10, tm02, tj12, tl12, k = q
@@ -197,3 +196,57 @@ def pair_counts4(c8: Counts8, pair: str) -> Counts4:
     for sym, cnt in c8.items():
         out[sym[i], sym[j]] += cnt
     return out
+
+
+def j12_bounds_constrained(q10: QN4, q02: QN4) -> tuple[int, int]:
+    """The least and greatest doubled j12 over the triples (s1, s0, s2) whose
+    (10) and (02) relations are q10 and q02; every value between them in
+    steps of 2 occurs too.
+
+    The relations must share the reference s0, or ConstraintError is
+    raised: equal n, and equal counts of its zeros, A10 + C10 = A02 + D02
+    (with equal n, tm10 + tm02 = tl02 - tl10).
+
+    Proof.  A base-8 symbol (x1, x0, x2) projects onto the (10) symbol
+    (x1, x0) and the (02) symbol (x0, x2).  So for each reference bit x0 the
+    triple's counts t<x1 x0 x2> form a 2x2 table, rows x1 and columns x2,
+    whose margins are counts of q10 and q02:
+
+        x0 = 0: rows sum to A10, C10; columns to A02, D02
+        x0 = 1: rows sum to D10, B10; columns to C02, B02
+
+    Both tables balance: the x0 = 0 one by the precondition, and the x0 = 1
+    one because both its totals are n less that.  Each has one free cell,
+    u = t101 and v = t010 (= k), with t100 = C10 - u, t001 = D02 - u,
+    t000 = A10 - D02 + u and t011 = D10 - v, t110 = C02 - v,
+    t111 = B10 - C02 + v.  By the balances, these are all nonnegative
+    exactly when max(0, C10 - A02) <= u <= min(C10, D02) and
+    max(0, D10 - B02) <= v <= min(D10, C02), and both ranges are non-empty
+    because every count of q10 and q02 is nonnegative.  The symbols with
+    x1 != x2 count j12, so tj12 = t100 + t001 + t011 + t110
+    = tj10 + tj02 - 2(u + v): 2 less per unit of either free cell.  As u and
+    v vary independently, u + v takes every integer between its extremes,
+    so tj12 takes exactly the values from the returned lo (both cells at
+    their maximum) to hi (both at their minimum) in steps of 2.  For any
+    u, v in range, the triple laid out in symbol blocks
+
+        s1 = 0^t000 0^t001 1^t100 1^t101 0^t010 0^t011 1^t110 1^t111
+        s0 = 0^t000 0^t001 0^t100 0^t101 1^t010 1^t011 1^t110 1^t111
+        s2 = 0^t000 1^t001 0^t100 1^t101 0^t010 1^t011 0^t110 1^t111
+
+    has the tables' margins as its (10) and (02) counts, so it carries q10
+    and q02 and realizes tj12 = tj10 + tj02 - 2(u + v).
+    """
+    if q10.n != q02.n:
+        raise ConstraintError(f"relations disagree on n: {q10.n}, {q02.n}")
+    c10 = counts4_from_qn4(q10)
+    c02 = counts4_from_qn4(q02)
+    if c10[A] + c10[C] != c02[A] + c02[D]:
+        raise ConstraintError(
+            f"relations disagree on the reference's zeros: "
+            f"{c10[A] + c10[C]}, {c02[A] + c02[D]}"
+        )
+    tj_sum = q10.tj + q02.tj
+    tj_min = tj_sum - 2 * min(c10[C], c02[D]) - 2 * min(c10[D], c02[C])
+    tj_max = tj_sum - 2 * max(0, c10[C] - c02[A]) - 2 * max(0, c10[D] - c02[B])
+    return tj_min, tj_max

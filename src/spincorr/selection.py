@@ -7,12 +7,7 @@ integrality forces j10 + j02 + j12 to be an integer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
-
-from .errors import ConstraintError, InvalidQuantumNumberError
-
-if TYPE_CHECKING:
-    from .quantum_numbers import QN4
+from .errors import InvalidQuantumNumberError
 
 
 def check_triangle(tj10: int, tj02: int, tj12: int) -> bool:
@@ -36,45 +31,19 @@ def require_projection(tj: int, tm: int, m: str = "m", j: str = "j") -> None:
         raise InvalidQuantumNumberError(f"{m} must satisfy -{j} <= {m} <= {j} in integer steps")
 
 
-def j12_range(tj10: int, tj02: int) -> List[int]:
+def j12_range(tj10: int, tj02: int) -> list[int]:
     """Admissible j12 values in unit steps, for unconstrained n."""
     return list(range(abs(tj10 - tj02), tj10 + tj02 + 1, 2))
 
 
-def g12_range(n: int, tj10: int, tj02: int) -> Tuple[int, int]:
+def g12_range(n: int, tj10: int, tj02: int) -> tuple[int, int]:
     """Bounds n/2 - j10 - j02 <= g12 <= n/2 - |j10 - j02| at every n: with
     g12 = n/2 - j12 they are the triangle rule.  Below the closed form's n
     floor 2(j10 + j02) the lower bound is negative; Priors rejects such n."""
     return n - tj10 - tj02, n - abs(tj10 - tj02)
 
 
-def j12_bounds_constrained(q10: QN4, q02: QN4) -> Tuple[int, int]:
-    """Overlap-forced j12 bounds from the full count capacities.
-
-    Each forced overlap of a C/D element from one relation with the
-    complementary element of the other reduces j12 by one; the bounds
-    coincide with the plain triangle bounds once n >= 2(j10 + j02) and the
-    g, l capacities are non-binding.
-    """
-    # imported here so that the probability path never loads the
-    # sequence-level modules
-    from .quantum_numbers import A, B, C, D, counts4_from_qn4
-
-    if q10.n != q02.n:
-        raise ConstraintError(f"relations disagree on n: {q10.n}, {q02.n}")
-    c10 = counts4_from_qn4(q10)
-    c02 = counts4_from_qn4(q02)
-    tj_sum = q10.tj + q02.tj
-    tj_min = tj_sum - 2 * min(c10[D], c02[C]) - 2 * min(c10[C], c02[D])
-    tj_max = (
-        tj_sum
-        - 2 * max(0, c10[D] - c02[B])
-        - 2 * max(0, c10[C] - c02[A])
-    )
-    return tj_min, tj_max
-
-
-def allowed_m_pairs(tj10: int, tj02: int, tm12: int) -> List[Tuple[int, int]]:
+def allowed_m_pairs(tj10: int, tj02: int, tm12: int) -> list[tuple[int, int]]:
     """All (m10, m02) with m10 + m02 = m12 and each m within its j range,
     in descending m10 order."""
     pairs = []

@@ -13,9 +13,9 @@ import os
 import random
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, List, Tuple
 
 from . import brute
 from .pathcount import Priors, normalize, path_weights, probability_table
@@ -27,7 +27,7 @@ from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
 from .sequences import BitSeq, correlate
 
 
-def check_phi_equivalence(enum_n_max: int) -> List[str]:
+def check_phi_equivalence(enum_n_max: int) -> list[str]:
     """phi agrees with one-pass enumeration over the full grid at small n."""
     problems = []
     layers = brute.base8_count_layers(enum_n_max)
@@ -59,7 +59,7 @@ _TRIPLE_RELATIONS = (
 )
 
 
-def check_random_triples(n_values: List[int], trials: int, rng: random.Random) -> List[str]:
+def check_random_triples(n_values: list[int], trials: int, rng: random.Random) -> list[str]:
     """Relations between the three pairwise measurements of random triples."""
     problems = []
     for n in n_values:
@@ -94,7 +94,7 @@ def check_random_triples(n_values: List[int], trials: int, rng: random.Random) -
     return problems
 
 
-def check_roundtrips(trials: int, rng: random.Random) -> List[str]:
+def check_roundtrips(trials: int, rng: random.Random) -> list[str]:
     """counts -> quantum numbers -> counts is the identity."""
     problems = []
     for _ in range(trials):
@@ -110,7 +110,7 @@ def check_roundtrips(trials: int, rng: random.Random) -> List[str]:
     return problems
 
 
-def check_permutation_maps(n: int, trials: int, rng: random.Random) -> List[str]:
+def check_permutation_maps(n: int, trials: int, rng: random.Random) -> list[str]:
     report = brute.map_conservation_report(n, trials, rng.randrange(1 << 30))
     return list(report["mismatches"])
 
@@ -124,7 +124,7 @@ def _prior_grid(n_max: int, tj_max: int):
                         yield n, tj1, tj2, tJ, tM
 
 
-def check_normalization(n_max: int, tj_max: int) -> List[str]:
+def check_normalization(n_max: int, tj_max: int) -> list[str]:
     """Probabilities sum to exactly 1, and every path count is positive, as
     the proof in pathcount._weight says; a zero or negative one is reported."""
     problems = []
@@ -167,7 +167,7 @@ def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
     return f_a * f_b * total
 
 
-def check_bounds_equivalence(n_max: int, tj_max: int) -> List[str]:
+def check_bounds_equivalence(n_max: int, tj_max: int) -> list[str]:
     """probability_table, the closed form the CLI prints, equals the raw
     lattice sum of every allowed pair divided by their sum, row by row."""
     problems = []
@@ -187,12 +187,12 @@ def check_bounds_equivalence(n_max: int, tj_max: int) -> List[str]:
     return problems
 
 
-Check = Tuple[str, Callable[[], List[str]]]
+Check = tuple[str, Callable[[], list[str]]]
 # a check's name, its problems and its time in milliseconds
-Result = Tuple[str, List[str], float]
+Result = tuple[str, list[str], float]
 
 
-def _run_timed(checks: List[Check]) -> List[Result]:
+def _run_timed(checks: list[Check]) -> list[Result]:
     results = []
     for name, fn in checks:
         start = time.perf_counter()
@@ -201,7 +201,7 @@ def _run_timed(checks: List[Check]) -> List[Result]:
     return results
 
 
-def _run_beside(forked: List[Check], here: List[Check]) -> List[Result]:
+def _run_beside(forked: list[Check], here: list[Check]) -> list[Result]:
     """The results of `here`, run in this process, and of `forked`, run at
     the same time in a forked child where os.fork exists.
 
@@ -260,7 +260,7 @@ def run_selftest(seed: int = 0) -> bool:
 
     # (name, draws from rng, check) in print order; the checks that draw
     # run here in this order, the others beside them
-    checks: List[Tuple[str, bool, Callable[[], List[str]]]] = [
+    checks: list[tuple[str, bool, Callable[[], list[str]]]] = [
         ("phi_by_enumeration equivalence", False, lambda: check_phi_equivalence(6)),
         (
             "random-triple selection rules",

@@ -11,23 +11,18 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
+from collections.abc import Sequence
 from operator import attrgetter, xor
-from typing import Dict, Sequence, Tuple
-
-from .errors import BudgetExceededError
 from .records import Record
 
-Symbol = Tuple[int, ...]
-
-# the most sequences one exhaustive enumeration may cover: it grows as 2^(d*n)
-ENUM_CAP = 1 << 24
+Symbol = tuple[int, ...]
 
 ALIAS_OF_PAIR = {(0, 0): "A", (1, 1): "B", (1, 0): "C", (0, 1): "D"}
 PAIR_OF_ALIAS = {v: k for k, v in ALIAS_OF_PAIR.items()}
 _BITS = attrgetter("bits")
 
 
-def _bit_tuple(items) -> Tuple[int, ...] | None:
+def _bit_tuple(items) -> tuple[int, ...] | None:
     """items as a tuple of the ints 0 and 1, or None if some element equals
     neither; by value, so True, 1.0 and 0j qualify."""
     bits = []
@@ -48,7 +43,7 @@ class BitSeq(Record, namedtuple("BitSeq", "bits")):
 
     __slots__ = ()
 
-    def __new__(cls, bits: Tuple[int, ...]):
+    def __new__(cls, bits: tuple[int, ...]):
         if len(bits) < 1:
             raise ValueError("a bit sequence needs length n >= 1")
         checked = _bit_tuple(bits)
@@ -74,7 +69,7 @@ class CorrSeq(Record, namedtuple("CorrSeq", "order symbols")):
 
     __slots__ = ()
 
-    def __new__(cls, order: int, symbols: Tuple[Symbol, ...]):
+    def __new__(cls, order: int, symbols: tuple[Symbol, ...]):
         if order < 1:
             raise ValueError("correlation order must be positive")
         if len(symbols) < 1:
@@ -120,13 +115,13 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
 
 
 @functools.lru_cache(maxsize=None)
-def alphabet(d: int) -> Tuple[Symbol, ...]:
+def alphabet(d: int) -> tuple[Symbol, ...]:
     """The 2^d symbols of order d, in lexicographic order; built once per d.
     Every module takes its symbols from here."""
     return tuple(itertools.product((0, 1), repeat=d))
 
 
-def count_symbols(c: CorrSeq) -> Dict[Symbol, int]:
+def count_symbols(c: CorrSeq) -> dict[Symbol, int]:
     """Occurrence counts over the full 2^d alphabet, keyed in lexicographic
     order; missing symbols are 0.
 
@@ -170,14 +165,6 @@ def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:
     flat = itertools.chain.from_iterable
     bits = map(xor, flat(initial.symbols), flat(mapping.symbols))
     return CorrSeq._trusted(order, tuple(zip(*[bits] * order)))
-
-
-def check_enum_cap(total: int) -> None:
-    """Raise BudgetExceededError if `total` sequences exceed ENUM_CAP."""
-    if total > ENUM_CAP:
-        raise BudgetExceededError(
-            f"enumerating {total} sequences exceeds the budget of {ENUM_CAP}"
-        )
 
 
 def render(c: CorrSeq) -> str:

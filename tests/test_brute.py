@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from spincorr import brute, sequences
+from spincorr import brute
 from spincorr.brute import (
+    ENUM_CAP,
     base8_count_layers,
     conserved_quantum_numbers,
     counts_key_to_qn8,
@@ -16,7 +17,7 @@ from spincorr.brute import (
 )
 from spincorr.errors import BudgetExceededError
 from spincorr.quantum_numbers import QN8, phi
-from spincorr.sequences import ENUM_CAP, PAIR_OF_ALIAS, CorrSeq, apply_map
+from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq, apply_map
 
 
 def corr4(text):
@@ -50,10 +51,10 @@ class TestEnumerateBase8Counts:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_budget_counts_sequences_covered(self, n, monkeypatch):
-        monkeypatch.setattr(sequences, "ENUM_CAP", 8**n - 1)
+        monkeypatch.setattr(brute, "ENUM_CAP", 8**n - 1)
         with pytest.raises(BudgetExceededError):
             enumerate_base8_counts(n)
-        monkeypatch.setattr(sequences, "ENUM_CAP", 8**n)
+        monkeypatch.setattr(brute, "ENUM_CAP", 8**n)
         assert sum(enumerate_base8_counts(n).values()) == 8**n
 
     def test_grown_layers_equal_enumeration(self):
@@ -68,12 +69,12 @@ class TestEnumerateBase8Counts:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_layers_budget_counts_last_layer_first(self, n, monkeypatch):
-        monkeypatch.setattr(sequences, "ENUM_CAP", 8**n - 1)
+        monkeypatch.setattr(brute, "ENUM_CAP", 8**n - 1)
         layers = base8_count_layers(n)
         # the first next() raises, so no layer, not even n = 0, was yielded
         with pytest.raises(BudgetExceededError):
             next(layers)
-        monkeypatch.setattr(sequences, "ENUM_CAP", 8**n)
+        monkeypatch.setattr(brute, "ENUM_CAP", 8**n)
         assert [sum(bins.values()) for bins in base8_count_layers(n)] == [
             8**i for i in range(n + 1)
         ]

@@ -16,11 +16,11 @@ EXPORTS = [
     "BudgetExceededError", "ConstraintError", "InvalidQuantumNumberError",
     "SpincorrError",
     "format_half_integer", "parse_half_integer",
-    "Priors", "f_factor", "k_bounds", "phi", "probability_table",
-    "QN4", "QN8", "counts4_from_qn4", "counts8_from_qn8", "qn4_from_counts",
-    "qn4_of_corrseq", "qn8_from_counts",
-    "allowed_m_pairs", "check_triangle", "g12_range", "j12_bounds_constrained",
-    "j12_range",
+    "Priors", "k_bounds", "probability_table",
+    "QN4", "QN8", "counts4_from_qn4", "counts8_from_qn8", "f_factor",
+    "j12_bounds_constrained", "phi", "qn4_from_counts", "qn4_of_corrseq",
+    "qn8_from_counts",
+    "allowed_m_pairs", "check_triangle", "g12_range", "j12_range",
     "BitSeq", "CorrSeq", "apply_map", "correlate", "count_symbols",
 ]
 SUBMODULES = [
@@ -107,32 +107,36 @@ def test_bare_import_loads_no_submodule_until_asked():
     assert done.stdout.splitlines() == ["[]", "spincorr.cg spincorr.pathcount"]
 
 
-def test_selection_is_a_leaf():
-    # the spin rules import nothing of the package but its errors, so every
-    # module, the table path included, can call them
+def package_modules_loaded_by(module):
+    """The spincorr submodules that `import spincorr.<module>` loads, sorted."""
     script = (
-        "import sys, spincorr.selection\n"
-        "print(sorted(m for m in sys.modules if m.startswith('spincorr.')))\n"
+        f"import sys, spincorr.{module}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('spincorr.')))\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, timeout=30, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["['spincorr.errors', 'spincorr.selection']"]
+    return done.stdout.split()
+
+
+def test_selection_is_a_leaf():
+    # the spin rules import nothing of the package but its errors, so every
+    # module, the table path included, can call them
+    assert package_modules_loaded_by("selection") == ["spincorr.errors", "spincorr.selection"]
+
+
+def test_sequences_is_a_leaf():
+    # the sequence layer builds on records alone: the enumeration cap, and
+    # with it errors, lives in brute
+    assert package_modules_loaded_by("sequences") == ["spincorr.records", "spincorr.sequences"]
 
 
 def test_quantum_numbers_keeps_doubled_integers():
     # QN4 and QN8 hold doubled integers only; halfint and cli turn them into
     # fractions or text at the edges, so the quantum numbers never load halfint
-    script = (
-        "import sys, spincorr.quantum_numbers\n"
-        "print(sorted(m for m in sys.modules if m.startswith('spincorr.')))\n"
-    )
-    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": SRC})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "['spincorr.errors', 'spincorr.quantum_numbers', 'spincorr.records', "
-        "'spincorr.selection', 'spincorr.sequences']"
+    assert package_modules_loaded_by("quantum_numbers") == [
+        "spincorr.errors", "spincorr.quantum_numbers", "spincorr.records",
+        "spincorr.selection", "spincorr.sequences",
     ]
 
 

@@ -1,6 +1,6 @@
 import inspect
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -398,6 +398,48 @@ class TestLimitIsCGSquared:
                         priors += 1
                         rows += len(leading)
         assert (priors, rows) == (784, 2408)
+
+
+class TestLimitCarriesCGSigns:
+    """The limit amplitude a_J(m1, m2) = sum_k (-1)^k B_k, over k_bounds, is
+    the z-sum of the binomial formula for the signed CG coefficient, whose
+    square-root prefactor is a J-only constant times
+    1 / (C(2j1, j1 - m1) C(2j2, j2 - m2)).  So CG orthogonality over J != J'
+    at fixed M is a sum of exact rationals with no square root in it, and
+    it fails if the signs (-1)^k are dropped."""
+
+    @staticmethod
+    def amplitude(tj1, tj2, tJ, tm1, tm2):
+        x = (tj1 + tj2 - tJ) // 2
+        d10, c02 = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+        k_min, k_max = k_bounds(tj1, tm1, tj2, tm2, tJ)
+        return sum(
+            (-1) ** k * comb(x, k) * comb(tj1 - x, d10 - k) * comb(tj2 - x, c02 - k)
+            for k in range(k_min, k_max + 1)
+        )
+
+    def test_amplitudes_of_different_j_are_orthogonal(self):
+        pairs = 0
+        for tj1 in range(9):
+            for tj2 in range(9):
+                tjs = range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+                for tM in range(-(tj1 + tj2), tj1 + tj2 + 1, 2):
+                    m1s = [tm1 for tm1 in range(-tj1, tj1 + 1, 2) if abs(tM - tm1) <= tj2]
+                    amplitudes = {
+                        tJ: [self.amplitude(tj1, tj2, tJ, tm1, tM - tm1) for tm1 in m1s]
+                        for tJ in tjs if abs(tM) <= tJ
+                    }
+                    weights = [comb(tj1, (tj1 - tm1) // 2) * comb(tj2, (tj2 - tM + tm1) // 2)
+                               for tm1 in m1s]
+                    for tJ, a in amplitudes.items():
+                        for tJ2, a2 in amplitudes.items():
+                            overlap = sum(Fraction(u * v, w) for u, v, w in zip(a, a2, weights))
+                            if tJ == tJ2:
+                                assert overlap > 0, (tj1, tj2, tJ, tM)
+                            else:
+                                assert overlap == 0, (tj1, tj2, tJ, tJ2, tM)
+                                pairs += tJ < tJ2
+        assert pairs == 2892
 
 
 class TestExactAtEveryN:

@@ -10,14 +10,14 @@ from spincorr.cli import _spins
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
 from spincorr.pathcount import Priors
 from spincorr.quantum_numbers import (
-    QN4, SYMBOLS8, f_factor, pair_counts4, qn4_from_counts, qn4_of_corrseq,
+    QN4, SYMBOLS8, f_factor, j12_bounds_constrained, pair_counts4, qn4_from_counts,
+    qn4_of_corrseq,
 )
 from spincorr.selection import (
     allowed_m_pairs,
     check_projection,
     check_triangle,
     g12_range,
-    j12_bounds_constrained,
     j12_range,
 )
 from spincorr.sequences import BitSeq, correlate
@@ -124,7 +124,7 @@ class TestConstrainedBounds:
 
     def test_reference_relation_collapses(self):
         q10 = QN4(tj=3, tm=1, tg=5, tl=3)
-        q02 = QN4(tj=0, tm=0, tg=8, tl=2)
+        q02 = QN4(tj=0, tm=0, tg=8, tl=4)
         assert j12_bounds_constrained(q10, q02) == (3, 3)
 
     def test_mismatched_n(self):
@@ -132,6 +132,13 @@ class TestConstrainedBounds:
         q02 = QN4(tj=2, tm=0, tg=2, tl=0)
         with pytest.raises(ConstraintError):
             j12_bounds_constrained(q10, q02)
+
+    def test_relations_must_share_the_reference(self):
+        # equal n, but q10 gives the reference 4 zeros (A10 + C10) and q02
+        # gives it 2 (A02 + D02): no triple carries both
+        q = QN4(tj=2, tm=2, tg=2, tl=2)
+        with pytest.raises(ConstraintError, match="zeros: 4, 2"):
+            j12_bounds_constrained(q, q)
 
     def test_unconstrained_reduces_to_triangle(self):
         # capacities non-binding: plenty of A/B room on both sides
