@@ -159,8 +159,11 @@ def map_conservation_report(n: int, trials: int, seed: int) -> dict:
 
     Checks both directions of the permutation law: a map conserving all of
     j, m, g, l rearranges the symbol multiset (a row permutation), and a
-    map built from a row permutation conserves all four.
+    map built from a row permutation conserves all four.  Raises ValueError
+    for n < 1, before any draw.
     """
+    if n < 1:
+        raise ValueError(f"sequence length n must be >= 1, got {n}")
     rng = random.Random(seed)
     conserved_tally: dict[frozenset[str], int] = {}
     mismatches: list[str] = []

@@ -37,14 +37,14 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _emit(rows: list[dict], args, command: str) -> None:
+def _emit(rows: list[dict], args) -> None:
     """Print rows, never empty, as JSON or as CSV headed by the first row's keys."""
     # json and csv are imported here: a request needs only the one it asked for
     if args.format == "json":
         import json
 
         payload = {
-            "command": command,
+            "command": args.command,
             "params": {
                 k: v for k, v in vars(args).items()
                 if k not in ("func", "format") and v is not None
@@ -92,7 +92,7 @@ def cmd_prob(args) -> int:
     tj, spins = _spins(args)
     table = probability_table(Priors(args.n, *tj))
     rows = [_row(spins, tm1, tm2, args.digits, n=args.n, p=p) for tm1, tm2, p in table]
-    _emit(rows, args, "prob")
+    _emit(rows, args)
     return EXIT_OK
 
 
@@ -102,7 +102,7 @@ def cmd_cg(args) -> int:
         _row(spins, tm1, tm2, args.digits, cg2=cg_squared(tj1, tj2, tm1, tm2, tJ, tM))
         for tm1, tm2 in allowed_m_pairs(tj1, tj2, tM)
     ]
-    _emit(rows, args, "cg")
+    _emit(rows, args)
     return EXIT_OK
 
 
@@ -133,7 +133,7 @@ def cmd_converge(args) -> int:
         _row(spins, r.tm10, r.tm02, args.digits, n=r.n, p=r.p, cg2=r.cg2, delta=r.delta)
         for r in scan_rows
     ]
-    _emit(rows, args, "converge")
+    _emit(rows, args)
     return EXIT_OK
 
 

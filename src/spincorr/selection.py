@@ -45,10 +45,9 @@ def g12_range(n: int, tj10: int, tj02: int) -> tuple[int, int]:
 
 def allowed_m_pairs(tj10: int, tj02: int, tm12: int) -> list[tuple[int, int]]:
     """All (m10, m02) with m10 + m02 = m12 and each m within its j range,
-    in descending m10 order."""
-    pairs = []
-    for tm10 in range(tj10, -tj10 - 1, -2):
-        tm02 = tm12 - tm10
-        if check_projection(tj02, tm02):
-            pairs.append((tm10, tm02))
-    return pairs
+    in descending m10 order, in closed form: none unless j10 + j02 + m12 is
+    an integer, else m10 from min(j10, m12 + j02) down to max(-j10, m12 - j02)."""
+    if (tj10 + tj02 + tm12) % 2:
+        return []
+    top, bottom = min(tj10, tm12 + tj02), max(-tj10, tm12 - tj02)
+    return [(tm10, tm12 - tm10) for tm10 in range(top, bottom - 1, -2)]

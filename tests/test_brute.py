@@ -180,6 +180,13 @@ class TestMapConservation:
         assert report["seed"] == 42
         assert sum(report["conserved_tally"].values()) == 300
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_length_below_one_rejected(self, monkeypatch, n):
+        # rejected before the generator is made, so nothing is drawn
+        monkeypatch.setattr(brute.random, "Random", None)
+        with pytest.raises(ValueError, match=rf"n must be >= 1, got {n}$"):
+            map_conservation_report(n, 5, 0)
+
     @pytest.mark.parametrize("seed, tally, next_bits", [
         (3, {"gjm": 2, "gjl": 3, "-": 157, "l": 11, "m": 8, "gj": 18, "lm": 1},
          17963031465775921355),

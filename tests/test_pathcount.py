@@ -293,17 +293,22 @@ class TestProbabilityTable:
                     table = probability_table(priors)
                     assert sum(p for _, _, p in table) == 1
 
-    def test_mirror_symmetry_at_zero_m12(self):
-        # P(m1, m2 | J, M) = P(-m1, -m2 | J, -M) for every prior with
-        # j1, j2 <= 3, at the smallest n, one above it, and n = 60
+    def test_exchange_and_mirror_symmetry(self):
+        # P(m1, m2 | j1, j2, J, M) = P(m2, m1 | j2, j1, J, M) and
+        # P(m1, m2 | M) = P(-m1, -m2 | -M) for every prior with j1, j2 <= 3,
+        # at the smallest n, just above it, 5 above it, n = 40 and n = 60
         for tj1 in range(7):
             for tj2 in range(7):
                 for tJ in j12_range(tj1, tj2):
                     for tM in range(-tJ, tJ + 1, 2):
                         lo = max(1, tj1 + tj2)
-                        for n in (lo, lo + 1, 60):
+                        for n in (lo, lo + 1, lo + 5, 40, 60):
                             table = probability_table(Priors(n, tj1, tj2, tJ, tM))
+                            exchanged = probability_table(Priors(n, tj2, tj1, tJ, tM))
                             mirror = probability_table(Priors(n, tj1, tj2, tJ, -tM))
+                            assert exchanged == [
+                                (b, a, p) for a, b, p in reversed(table)
+                            ], (n, tj1, tj2, tJ, tM)
                             assert table == [
                                 (-a, -b, p) for a, b, p in reversed(mirror)
                             ], (n, tj1, tj2, tJ, tM)

@@ -216,6 +216,20 @@ class TestAllowedMPairs:
         pairs = allowed_m_pairs(4, 2, 0)
         assert pairs == sorted(pairs, key=lambda p: -p[0])
 
+    def test_closed_form_matches_projection_filter(self):
+        # the definition: every m10 from |j10| down to -|j10| in unit steps
+        # whose m10 and m02 = m12 - m10 both pass the projection rule; the
+        # grid has negative j and both parities of j10 + j02 + m12
+        for tj10 in range(-3, 9):
+            for tj02 in range(-3, 9):
+                for tm12 in range(-20, 21):
+                    expected = [
+                        (tm10, tm12 - tm10)
+                        for tm10 in range(abs(tj10), -abs(tj10) - 1, -1)
+                        if check_projection(tj10, tm10) and check_projection(tj02, tm12 - tm10)
+                    ]
+                    assert allowed_m_pairs(tj10, tj02, tm12) == expected, (tj10, tj02, tm12)
+
 
 class TestRandomTripleLaw:
     def test_relations_hold_exactly(self):
