@@ -9,7 +9,7 @@ against closed-form squared Clebsch-Gordan coefficients.
 from spincorr.quantum_numbers and spincorr.sequences.
 """
 
-from .cg import cg_squared, convergence_scan
+from .cg import cg_squared
 from .errors import BudgetExceededError, ConstraintError, InvalidQuantumNumberError, SpincorrError
 from .halfint import format_half_integer, parse_half_integer
 from .pathcount import Priors, k_bounds, probability_table
@@ -18,7 +18,7 @@ from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
 __version__ = "0.1.0"
 
 __all__ = [
-    "cg_squared", "convergence_scan",
+    "cg_squared",
     "BudgetExceededError", "ConstraintError", "InvalidQuantumNumberError", "SpincorrError",
     "format_half_integer", "parse_half_integer",
     "Priors", "k_bounds", "probability_table",

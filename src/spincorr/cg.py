@@ -1,4 +1,7 @@
-"""Standard-QM reference: exact squared Clebsch-Gordan coefficients.
+"""Standard-QM reference: exact squared Clebsch-Gordan coefficients, and
+the decimal rendering of exact rationals; nothing else.  The oracle imports
+no part of the path-counting model it checks; `spincorr converge` compares
+the two.
 
 The closed-form (Racah) expression is evaluated without floating point:
 after squaring, every square root collapses to a rational, and the
@@ -11,13 +14,9 @@ Only squares are exposed; sign conventions never enter.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial, perm
 
-from .errors import ConstraintError, InvalidQuantumNumberError
-from .pathcount import Priors, probability_table
 from .selection import check_triangle, require_projection
 
 
@@ -74,29 +73,6 @@ def cg_squared(tj1: int, tj2: int, tm1: int, tm2: int, tJ: int, tM: int) -> Frac
         )
         zsum += -term if z % 2 else term
     return Fraction(pre * zsum * zsum, f((tj1 + tj2 + tJ) // 2 + 1) * common * common)
-
-
-ConvergenceRow = namedtuple("ConvergenceRow", "n tm10 tm02 p cg2 delta")
-
-
-def convergence_scan(
-    tj1: int, tj2: int, tJ: int, tM: int, n_list: Iterable[int]
-) -> tuple[list[ConvergenceRow], list[tuple[int, str]]]:
-    """One row per n per allowed pair (ascending n, descending m10),
-    plus a list of (n, reason) for skipped lengths."""
-    rows: list[ConvergenceRow] = []
-    skipped: list[tuple[int, str]] = []
-    for n in sorted(set(n_list)):
-        try:
-            priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
-            table = probability_table(priors)
-        except (ConstraintError, InvalidQuantumNumberError) as exc:
-            skipped.append((n, str(exc)))
-            continue
-        for tm10, tm02, p in table:
-            cg2 = cg_squared(tj1, tj2, tm10, tm02, tJ, tM)
-            rows.append(ConvergenceRow(n, tm10, tm02, p, cg2, abs(p - cg2)))
-    return rows, skipped
 
 
 def decimal_string(value: Fraction, digits: int = 6) -> str:

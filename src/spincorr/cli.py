@@ -12,7 +12,7 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .cg import cg_squared, convergence_scan, decimal_string
+from .cg import cg_squared, decimal_string
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .halfint import format_half_integer, parse_half_integer
 from .pathcount import Priors, probability_table
@@ -119,20 +119,26 @@ def cmd_converge(args) -> int:
     if args.geometric:
         # a doubling scan has no step; its JSON params echo step 0
         args.step = 0
-    tj, spins = _spins(args)
+    (tj1, tj2, tJ, tM), spins = _spins(args)
     n_values = _n_values(args)
     # sliced, not len(): a range longer than sys.maxsize has no len()
     if n_values[MAX_SCAN_LENGTH:]:
         return _fail(EXIT_MALFORMED, f"a converge scan takes at most {MAX_SCAN_LENGTH} lengths")
-    scan_rows, skipped = convergence_scan(*tj, n_values)
-    for n, reason in skipped:
-        print(f"warning: n={n} skipped: {reason}", file=sys.stderr)
-    if not scan_rows:
+    rows = []
+    for n in n_values:
+        # only the errors Priors raises mean "skip this n"; any other error
+        # in the table path is a fault and reaches the caller
+        try:
+            priors = Priors(n, tj1, tj2, tJ, tM)
+        except (ConstraintError, InvalidQuantumNumberError) as exc:
+            print(f"warning: n={n} skipped: {exc}", file=sys.stderr)
+            continue
+        for tm1, tm2, p in probability_table(priors):
+            cg2 = cg_squared(tj1, tj2, tm1, tm2, tJ, tM)
+            rows.append(_row(spins, tm1, tm2, args.digits, n=n, p=p, cg2=cg2,
+                             delta=abs(p - cg2)))
+    if not rows:
         return _fail(EXIT_CONSTRAINT, "no valid sequence length in the requested range")
-    rows = [
-        _row(spins, r.tm10, r.tm02, args.digits, n=r.n, p=r.p, cg2=r.cg2, delta=r.delta)
-        for r in scan_rows
-    ]
     _emit(rows, args)
     return EXIT_OK
 

@@ -46,10 +46,10 @@ class Priors(Record, namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
                 % tuple(format_half_integer(t) for t in (tj10, tj02, tj12))
             )
         require_projection(tj12, tm12, "m12", "j12")
-        if g12_range(n, tj10, tj02)[0] < 0:
-            raise ConstraintError(f"n = {n} is below 2(j10 + j02) = {tj10 + tj02}")
         if n < 1:
             raise InvalidQuantumNumberError("n must be positive")
+        if g12_range(n, tj10, tj02)[0] < 0:
+            raise ConstraintError(f"n = {n} is below 2(j10 + j02) = {tj10 + tj02}")
         return super().__new__(cls, n, tj10, tj02, tj12, tm12)
 
 
@@ -101,6 +101,13 @@ def _weight(priors: Priors, tm10: int, tm02: int) -> int:
        x <= 2j10 and x <= 2j02 are the triangle rule, x <= c10 + c02 and
        x <= d10 + d02 are |m12| <= j12, and the other four say c10, d10, c02
        or d02 is >= 0.
+
+    Conjecture (tested, not proved): let R be the Regge symbol of
+    (j10 j02 j12; m10 m02 -m12), whose rows are (j02 + j12 - j10,
+    j10 + j12 - j02, x), the three j - m and the three j + m.  Then
+    S_G^2 = Q / ((R11! R12! R13!)^2 (G + x)!/G!), with Q the weight over
+    c10! d10! c02! d02!, is the same at all 72 row and column permutations
+    and transpositions of R, as Racah's S^2 of the 3j symbol is.
     """
     x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
     g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2

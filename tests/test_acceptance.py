@@ -1,5 +1,6 @@
 """End-to-end acceptance checks; each test prints one pass/fail line."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from spincorr.brute import counts_key_to_qn8, enumerate_base8_counts, map_conservation_report
-from spincorr.cg import cg_squared, convergence_scan
+from spincorr.cg import cg_squared
 from spincorr.cli import main
 from spincorr.pathcount import Priors, probability_table
 from spincorr.quantum_numbers import phi
@@ -60,20 +61,24 @@ class TestAcceptance:
                         assert total == 1, (tj1, tj2, tJ, tM)
         report("criterion 2: CG oracle reference and completeness")
 
-    def test_03_convergence(self):
+    def test_03_convergence(self, capsys):
         start = time.perf_counter()
-        rows, skipped = convergence_scan(2, 2, 2, 0, [6, 12, 24, 48, 96])
-        assert not skipped
+        code = main(["converge", "--j1", "1", "--j2", "1", "--J", "1", "--M", "0",
+                     "--n-start", "6", "--n-max", "96", "--geometric", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
         by_pair = {}
-        for r in rows:
-            by_pair.setdefault((r.tm10, r.tm02), []).append((r.n, r.delta))
-        assert set(by_pair) == {(2, -2), (0, 0), (-2, 2)}
+        for r in json.loads(out)["rows"]:
+            by_pair.setdefault((r["m1"], r["m2"]), []).append(
+                (r["n"], Fraction(r["delta_num"], r["delta_den"])))
+        assert set(by_pair) == {("1", "-1"), ("0", "0"), ("-1", "1")}
         for pair, series in by_pair.items():
-            deltas = [d for _, d in sorted(series)]
+            assert [n for n, _ in series] == [6, 12, 24, 48, 96], pair
+            deltas = [d for _, d in series]
             assert all(a > b for a, b in zip(deltas, deltas[1:])), pair
         anchors = {pair: dict(series)[6] for pair, series in by_pair.items()}
-        assert anchors[(0, 0)] == Fraction(1, 17)
-        assert anchors[(2, -2)] == anchors[(-2, 2)] == Fraction(1, 34)
+        assert anchors[("0", "0")] == Fraction(1, 17)
+        assert anchors[("1", "-1")] == anchors[("-1", "1")] == Fraction(1, 34)
         assert time.perf_counter() - start < 10.0
         report("criterion 3: convergence toward CG with exact n=6 anchors")
 

@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from spincorr import pathcount
-from spincorr.cg import cg_squared, convergence_scan, decimal_string
+from spincorr.cg import cg_squared, decimal_string
+from spincorr.cli import main
 from spincorr.errors import InvalidQuantumNumberError
+from spincorr.pathcount import Priors, probability_table
 from spincorr.selection import allowed_m_pairs, check_triangle, j12_range
 
 
@@ -109,45 +112,67 @@ class TestCgSquared:
             )
 
 
+def deltas(priors):
+    """|P - CG^2| for each row of the priors' table, from the library."""
+    return [
+        (tm10, tm02, abs(p - cg_squared(priors.tj10, priors.tj02, tm10, tm02,
+                                        priors.tj12, priors.tm12)))
+        for tm10, tm02, p in probability_table(priors)
+    ]
+
+
+def converge(capsys, *flags, spins=("--j1", "1", "--j2", "1", "--J", "1", "--M", "0")):
+    """`spincorr converge` in process: its exit code, its stderr, and its
+    rows as (n, m1, m2, p, cg2, delta) with exact Fraction values."""
+    code = main(["converge", *spins, *flags, "--format", "json"])
+    out, err = capsys.readouterr()
+    rows = [
+        (r["n"], r["m1"], r["m2"],
+         *(Fraction(r[f"{k}_num"], r[f"{k}_den"]) for k in ("p", "cg2", "delta")))
+        for r in json.loads(out)["rows"]
+    ]
+    return code, err, rows
+
+
 class TestDelta:
-    """The delta column of `convergence_scan`, one length at a time."""
+    """|P - CG^2|, one length at a time, from probability_table and cg_squared."""
 
     def test_worked_example(self):
-        rows, _ = convergence_scan(2, 2, 2, 0, [6])
-        assert [(r.tm10, r.tm02, r.delta) for r in rows] == [
+        assert deltas(Priors(6, 2, 2, 2, 0)) == [
             (2, -2, Fraction(1, 34)),
             (0, 0, Fraction(1, 17)),
             (-2, 2, Fraction(1, 34)),
         ]
 
     def test_stretched_is_exact(self):
-        rows, _ = convergence_scan(2, 2, 4, 4, [8])
-        assert [(r.tm10, r.tm02, r.delta) for r in rows] == [(2, 2, Fraction(0))]
+        assert deltas(Priors(8, 2, 2, 4, 4)) == [(2, 2, Fraction(0))]
 
 
 class TestConvergenceScan:
-    def test_doubling_decreases_delta(self):
-        ns = [6, 12, 24, 48]
-        rows, skipped = convergence_scan(2, 2, 2, 0, ns)
-        assert not skipped
-        assert [r.n for r in rows] == sorted(r.n for r in rows)
+    """The scan `spincorr converge` runs: P, CG^2 and delta per n."""
+
+    def test_doubling_decreases_delta(self, capsys):
+        code, err, rows = converge(capsys, "--n-start", "6", "--n-max", "48", "--geometric")
+        assert (code, err) == (0, "")
+        assert [r[0] for r in rows] == sorted(r[0] for r in rows)
         by_pair = {}
-        for r in rows:
-            by_pair.setdefault((r.tm10, r.tm02), []).append(r.delta)
-        assert set(by_pair) == {(2, -2), (0, 0), (-2, 2)}
-        for deltas in by_pair.values():
-            assert all(a > b for a, b in zip(deltas, deltas[1:]))
+        for _, m1, m2, _, _, delta in rows:
+            by_pair.setdefault((m1, m2), []).append(delta)
+        assert set(by_pair) == {("1", "-1"), ("0", "0"), ("-1", "1")}
+        for series in by_pair.values():
+            assert len(series) == 4
+            assert all(a > b for a, b in zip(series, series[1:]))
 
-    def test_first_row_matches_worked_example(self):
-        rows, _ = convergence_scan(2, 2, 2, 0, [6])
-        assert rows[0].p == Fraction(8, 17)
-        assert rows[0].cg2 == Fraction(1, 2)
-        assert rows[0].delta == Fraction(1, 34)
+    def test_first_row_matches_worked_example(self, capsys):
+        code, _, rows = converge(capsys, "--n-start", "6", "--n-max", "6")
+        assert code == 0
+        assert rows[0] == (6, "1", "-1", Fraction(8, 17), Fraction(1, 2), Fraction(1, 34))
 
-    def test_invalid_n_skipped_with_reason(self):
-        rows, skipped = convergence_scan(2, 2, 2, 0, [2, 6])
-        assert [n for n, _ in skipped] == [2]
-        assert all(r.n == 6 for r in rows)
+    def test_invalid_n_skipped_with_reason(self, capsys):
+        code, err, rows = converge(capsys, "--n-start", "2", "--n-max", "6", "--step", "4")
+        assert code == 0
+        assert err == "warning: n=2 skipped: n = 2 is below 2(j10 + j02) = 4\n"
+        assert rows and all(r[0] == 6 for r in rows)
 
     def test_table_error_propagates(self, monkeypatch):
         # only the errors Priors raises mean "skip this n"; any other error
@@ -157,12 +182,15 @@ class TestConvergenceScan:
 
         monkeypatch.setattr(pathcount, "_weight", broken)
         with pytest.raises(ValueError, match="math domain"):
-            convergence_scan(2, 2, 2, 0, [2, 6, 8])
+            main(["converge", "--j1", "1", "--j2", "1", "--J", "1", "--M", "0",
+                  "--n-start", "2", "--n-max", "8", "--step", "2"])
 
-    def test_stretched_all_zero(self):
-        rows, _ = convergence_scan(2, 2, 4, 4, [4, 8, 16])
-        assert rows
-        assert all(r.delta == 0 for r in rows)
+    def test_stretched_all_zero(self, capsys):
+        code, _, rows = converge(capsys, "--n-start", "4", "--n-max", "16", "--geometric",
+                                 spins=("--j1", "1", "--j2", "1", "--J", "2", "--M", "2"))
+        assert code == 0
+        assert [r[0] for r in rows] == [4, 8, 16]
+        assert all(r[5] == 0 for r in rows)
 
 
 class TestDecimalString:

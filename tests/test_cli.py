@@ -147,6 +147,16 @@ class TestConverge:
         ns = {int(r.split(",")[0]) for r in out.strip().splitlines()[1:]}
         assert ns == {4, 6}
 
+    def test_skipped_lengths_warn_exactly(self, capsys):
+        code, out, err = run_cli(capsys, "converge", *SPINS_1_1_1_0,
+                                 "--n-start", "1", "--n-max", "9", "--format", "json")
+        assert code == 0
+        assert err.splitlines() == [
+            f"warning: n={n} skipped: n = {n} is below 2(j10 + j02) = 4" for n in (1, 2, 3)
+        ]
+        assert err.endswith("\n")
+        assert len(json.loads(out)["rows"]) == 18
+
     def test_no_valid_n_exit_3(self, capsys):
         code, _, _ = run_cli(
             capsys, "converge", "--j1", "1", "--j2", "1", "--J", "1", "--M", "0",

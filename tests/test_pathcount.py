@@ -1,6 +1,7 @@
 import inspect
+import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,12 @@ class TestPriors:
              "with integer perimeter, got j10=1 j02=1 j12=3"),
             ((0, 2, 2, 2, 4), InvalidQuantumNumberError,
              "m12 must satisfy -j12 <= m12 <= j12 in integer steps"),
+            # n < 1 is no length at all, so it is tested before the n floor
+            ((-1, 0, 0, 0, 0), InvalidQuantumNumberError, "n must be positive"),
+            ((-5, 0, 0, 0, 0), InvalidQuantumNumberError, "n must be positive"),
+            ((0, 2, 2, 2, 0), InvalidQuantumNumberError, "n must be positive"),
+            ((-1, 2, 2, 2, 0), InvalidQuantumNumberError, "n must be positive"),
+            ((-5, 2, 2, 2, 0), InvalidQuantumNumberError, "n must be positive"),
         ],
     )
     def test_rejection_type_and_message(self, args, error, message):
@@ -477,6 +484,55 @@ class TestExactAtEveryN:
                         priors += 1
                         exact += edge
         assert (priors, exact) == (4356, 2331)
+
+
+def regge_images(r):
+    """The distinct images of the 3x3 array r under its 72 row and column
+    permutations and transpositions."""
+    images = set()
+    for rows in itertools.permutations(r):
+        for cols in itertools.permutations(range(3)):
+            image = tuple(tuple(row[c] for c in cols) for row in rows)
+            images.update((image, tuple(zip(*image))))
+    return images
+
+
+def regge_s2(r, g):
+    """S_G^2 of the Regge symbol r, from _weight (see its docstring)."""
+    (r11, r12, r13), (d10, d02, tjm), (c10, c02, tjp) = r
+    tj1, tj2, tJ = c10 + d10, c02 + d02, tjm + tjp
+    tm10, tm02 = c10 - d10, c02 - d02
+    f = factorial
+    n = g + (tj1 + tj2 + tJ) // 2
+    w = pathcount._weight(Priors(n, tj1, tj2, tJ, tm10 + tm02), tm10, tm02)
+    q = Fraction(w, f(c10) * f(d10) * f(c02) * f(d02))
+    return q / ((f(r11) * f(r12) * f(r13)) ** 2 * perm(g + r13, r13))
+
+
+class TestReggeSymmetry:
+    """The conjecture in the _weight docstring: S_G^2 is the same at all 72
+    images of the Regge symbol.  Every image has the same j1 + j2 + J, so
+    one G is one n, and G >= j1 + j2 + J puts every image above the n floor."""
+
+    @pytest.mark.parametrize("extra", [1, 2, 6])
+    def test_invariant_at_every_image(self, extra):
+        rows = checks = 0
+        for tj1 in range(5):
+            for tj2 in range(5):
+                for tJ in j12_range(tj1, tj2):
+                    for tM in range(-tJ, tJ + 1, 2):
+                        for tm1, tm2 in allowed_m_pairs(tj1, tj2, tM):
+                            r = (((tj2 + tJ - tj1) // 2, (tj1 + tJ - tj2) // 2,
+                                  (tj1 + tj2 - tJ) // 2),
+                                 ((tj1 - tm1) // 2, (tj2 - tm2) // 2, (tJ + tM) // 2),
+                                 ((tj1 + tm1) // 2, (tj2 + tm2) // 2, (tJ - tM) // 2))
+                            g = sum(r[0]) + extra
+                            s2 = regge_s2(r, g)
+                            for image in regge_images(r):
+                                assert regge_s2(image, g) == s2, (r, image, g)
+                                checks += 1
+                            rows += 1
+        assert (rows, checks) == (517, 12267)
 
 
 @st.composite
