@@ -12,7 +12,7 @@ from spincorr.quantum_numbers and spincorr.sequences.
 from .cg import cg_squared
 from .errors import BudgetExceededError, ConstraintError, InvalidQuantumNumberError, SpincorrError
 from .halfint import format_half_integer, parse_half_integer
-from .pathcount import Priors, k_bounds, probability_table
+from .pathcount import Priors, probability_table
 from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
 
 __version__ = "0.1.0"
@@ -21,6 +21,6 @@ __all__ = [
     "cg_squared",
     "BudgetExceededError", "ConstraintError", "InvalidQuantumNumberError", "SpincorrError",
     "format_half_integer", "parse_half_integer",
-    "Priors", "k_bounds", "probability_table",
+    "Priors", "probability_table",
     "allowed_m_pairs", "check_triangle", "g12_range", "j12_range",
 ]

@@ -1,12 +1,14 @@
 """Command-line frontend with deterministic CSV/JSON output.
 
 Exit codes: 0 success, 1 selftest failure, 2 malformed input, 3 semantic
-constraint violation.  Results go to stdout, diagnostics to stderr.
+constraint violation, 141 stdout closed by its reader (128 + SIGPIPE).
+Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_MALFORMED = 2
 EXIT_CONSTRAINT = 3
+EXIT_BROKEN_PIPE = 141
 
 SPIN_KEYS = ("j1", "j2", "J", "M")
 SPIN_FLAGS = tuple(f"--{key}" for key in SPIN_KEYS)
@@ -253,7 +256,13 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: fd 1 goes to devnull, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InvalidQuantumNumberError as exc:
         return _fail(EXIT_MALFORMED, str(exc))
     except ConstraintError as exc:

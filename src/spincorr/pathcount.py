@@ -10,7 +10,7 @@ The count is evaluated in closed form: its sum over l12 is a Chu-Vandermonde
 convolution (Petkovsek, Wilf, Zeilberger, "A=B", chapters 3 and 5), and the
 (k_a, k_b) sum it leaves is an integer binomial sum, the classical form of
 the CG coefficient (Varshalovich, Moskalev, Khersonskii 1988, section 8.2);
-see _weight.  The factor it drops holds every n!-sized integer and is the
+see _moments.  The factor it drops holds every n!-sized integer and is the
 same for every (m10, m02) pair of the priors, so probability_table
 normalizes without it, never builds it, and its cost does not grow with n.
 selftest.upsilon_full_lattice keeps the raw lattice sum as the independent
@@ -53,35 +53,25 @@ class Priors(Record, namedtuple("Priors", "n tj10 tj02 tj12 tm12")):
         return super().__new__(cls, n, tj10, tj02, tj12, tm12)
 
 
-def k_bounds(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> tuple[int, int]:
-    """Range of the non-local count k compatible with the given j's and m's.
+def _moments(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> tuple[int, list[int]]:
+    """The n-free part of the weight of one (m10, m02) outcome: the prefactor
+    pre = c10! d10! c02! d02! and the moments t_s = (-1)^s (2 if s else 1) A_s.
+    At length n the weight is pre sum_s t_s R_s(G), with G = n - j10 - j02 - j12
+    and R_s(G) = G!/(G - s)! (G + x)!/(G + s)!, the same for every pair.
 
-    Empty (k_min > k_max) only for a pair outside allowed_m_pairs; see _weight.
-    """
-    x = (tj10 + tj02 - tj12) // 2
-    c10 = (tj10 + tm10) // 2
-    d10 = (tj10 - tm10) // 2
-    c02 = (tj02 + tm02) // 2
-    d02 = (tj02 - tm02) // 2
-    k_min = max(0, x - min(c10, d02))
-    k_max = min(x, min(c02, d10))
-    return k_min, k_max
-
-
-def _weight(priors: Priors, tm10: int, tm02: int) -> int:
-    """Path count of one (m10, m02) outcome, as an integer, divided by the
-    positive, pair-independent K G! / ((G + x)! D^2), where
-    K = (n - 2j10)! (n - 2j02)! (2G)! / G!^4, G = n - j10 - j02 - j12,
-    x = j10 + j02 - j12 and D = x! (2j10 - x)! (2j02 - x)!.
-
-    Only the (000) and (111) counts depend on l12, and they sum to G, so
-    the l12 sum of phi_a * phi_b is n!^2 C(2G, G + s) / (G!^2 P_a P_b), with
-    s = k_b - k_a and P_k the other six count factorials.  These pair up to
-    x, 2j10 - x and 2j02 - x, so D / P_k is the integer
-    B_k = C(x, k) C(2j10 - x, d10 - k) C(2j02 - x, c02 - k), and
-    C(2G, G + s) (G + x)! / (C(2G, G) G!) is R_s = G!/(G - s)! (G + x)!/(G + s)!.
-    The n!^2 cancels against f_a f_b, so with A_s = sum_i B_i B_(i+s) the
-    weight is c10! d10! c02! d02! sum_s (-1)^s (2 if s else 1) R_s A_s.
+    It is the path count divided by the positive, pair-independent
+    K G! / ((G + x)! D^2), where K = (n - 2j10)! (n - 2j02)! (2G)! / G!^4,
+    x = j10 + j02 - j12 and D = x! (2j10 - x)! (2j02 - x)!.  Only the (000)
+    and (111) counts depend on l12, and they sum to G, so the l12 sum of
+    phi_a * phi_b is n!^2 C(2G, G + s) / (G!^2 P_a P_b), with s = k_b - k_a
+    and P_k the other six count factorials.  These pair up to x, 2j10 - x and
+    2j02 - x, so D / P_k is B_k = C(x, k) C(2j10 - x, d10 - k) C(2j02 - x, c02 - k),
+    for k from k_min = max(0, x - min(c10, d02)) to k_max = min(x, c02, d10),
+    and C(2G, G + s) (G + x)! / (C(2G, G) G!) is R_s(G).  The n!^2 cancels
+    against f_a f_b, and with A_s = sum_i B_i B_(i+s) the weight is
+    pre b^T M(G) b, where M[i, k] = (-1)^(i - k) R_|i-k|(G).  Each R_s is
+    monic of degree x in G, so as G grows the weights over G^x tend to
+    pre sum_s t_s = pre (sum_k (-1)^k B_k)^2.
 
     Every weight is positive, so every table is a probability distribution:
     1. The raw lattice sum is f_a f_b times
@@ -105,32 +95,31 @@ def _weight(priors: Priors, tm10: int, tm02: int) -> int:
     Conjecture (tested, not proved): let R be the Regge symbol of
     (j10 j02 j12; m10 m02 -m12), whose rows are (j02 + j12 - j10,
     j10 + j12 - j02, x), the three j - m and the three j + m.  Then
-    S_G^2 = Q / ((R11! R12! R13!)^2 (G + x)!/G!), with Q the weight over
-    c10! d10! c02! d02!, is the same at all 72 row and column permutations
+    S_G^2 = Q / ((R11! R12! R13!)^2 (G + x)!/G!), with Q = sum_s t_s R_s(G)
+    the weight over pre, is the same at all 72 row and column permutations
     and transpositions of R, as Racah's S^2 of the 3j symbol is.
     """
-    x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
-    g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
-    c10, d10 = (priors.tj10 + tm10) // 2, (priors.tj10 - tm10) // 2
-    c02, d02 = (priors.tj02 + tm02) // 2, (priors.tj02 - tm02) // 2
-    k_min, k_max = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
-    b = [comb(x, k) * comb(priors.tj10 - x, d10 - k) * comb(priors.tj02 - x, c02 - k)
-         for k in range(k_min, k_max + 1)]
-    total = sum(
-        (-1) ** s * (2 if s else 1) * perm(g, s) * perm(g + x, x - s)
-        * sum(b[i] * b[i + s] for i in range(len(b) - s))
-        for s in range(len(b))
-    )
-    return factorial(c10) * factorial(d10) * factorial(c02) * factorial(d02) * total
+    x = (tj10 + tj02 - tj12) // 2
+    c10, d10 = (tj10 + tm10) // 2, (tj10 - tm10) // 2
+    c02, d02 = (tj02 + tm02) // 2, (tj02 - tm02) // 2
+    b = [comb(x, k) * comb(tj10 - x, d10 - k) * comb(tj02 - x, c02 - k)
+         for k in range(max(0, x - min(c10, d02)), min(x, c02, d10) + 1)]
+    pre = factorial(c10) * factorial(d10) * factorial(c02) * factorial(d02)
+    return pre, [(-1) ** s * (2 if s else 1) * sum(b[i] * b[i + s] for i in range(len(b) - s))
+                 for s in range(len(b))]
 
 
 def path_weights(priors: Priors) -> list[tuple[int, int, int]]:
-    """The positive integer _weight of every allowed (m10, m02) pair, in
-    descending m10 order; there is at least one pair (see _weight)."""
-    return [
-        (tm10, tm02, _weight(priors, tm10, tm02))
-        for tm10, tm02 in allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12)
-    ]
+    """The positive integer weight pre sum_s t_s R_s(G) of every allowed
+    (m10, m02) pair, in descending m10 order; there is at least one (see _moments)."""
+    x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
+    g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
+    r = [perm(g, s) * perm(g + x, x - s) for s in range(x + 1)]
+    weights = []
+    for tm10, tm02 in allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12):
+        pre, t = _moments(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
+        weights.append((tm10, tm02, pre * sum(ts * rs for ts, rs in zip(t, r))))
+    return weights
 
 
 def normalize(weights: list[tuple[int, int, int]]) -> list[tuple[int, int, Fraction]]:

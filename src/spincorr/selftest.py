@@ -126,7 +126,7 @@ def _prior_grid(n_max: int, tj_max: int):
 
 def check_normalization(n_max: int, tj_max: int) -> list[str]:
     """Probabilities sum to exactly 1, and every path count is positive, as
-    the proof in pathcount._weight says; a zero or negative one is reported."""
+    the proof in pathcount._moments says; a zero or negative one is reported."""
     problems = []
     for n, tj1, tj2, tJ, tM in _prior_grid(n_max, tj_max):
         priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
@@ -149,7 +149,7 @@ def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
     invalid lattice points contribute zero, with no precomputed bounds.
 
     phi is evaluated once at every lattice point, and the sum is the one
-    step 1 of the proof in pathcount._weight gives: f_a f_b times the sum
+    step 1 of the proof in pathcount._moments gives: f_a f_b times the sum
     over l12 of (sum_k (-1)^k phi(k, l12))^2.
     """
     f_a = f_factor(priors.n, priors.tj10, tm10)

@@ -177,10 +177,10 @@ class TestConvergenceScan:
     def test_table_error_propagates(self, monkeypatch):
         # only the errors Priors raises mean "skip this n"; any other error
         # in the table path is a fault and reaches the caller
-        def broken(priors, tm10, tm02):
+        def broken(*args):
             raise ValueError("math domain error")
 
-        monkeypatch.setattr(pathcount, "_weight", broken)
+        monkeypatch.setattr(pathcount, "_moments", broken)
         with pytest.raises(ValueError, match="math domain"):
             main(["converge", "--j1", "1", "--j2", "1", "--J", "1", "--M", "0",
                   "--n-start", "2", "--n-max", "8", "--step", "2"])

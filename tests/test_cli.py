@@ -661,6 +661,37 @@ def test_regression(argv, code, fragment, isolated):
         assert rows and all(len(row) == len(header) for row in rows)
 
 
+# one request per command; the converge scan prints about 110 kB, more than
+# a buffered stdout holds, so it meets the closed pipe while it writes
+CLOSED_PIPE_REQUESTS = [
+    pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0], id="prob"),
+    pytest.param(["cg", *SPINS_1_1_1_0], id="cg"),
+    pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "6", "--n-max", "600"],
+                 id="converge"),
+    pytest.param(["selftest"], id="selftest"),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_PIPE_REQUESTS)
+def test_closed_stdout_exits_141(argv, unbuffered):
+    # the reader closes its end before the request writes, as
+    # `spincorr ... | head -1` may; the request exits as a shell reports a
+    # SIGPIPE death, 128 + 13, with no traceback and no "Exception ignored"
+    # from the flush at exit
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "spincorr.cli", *argv], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141, err
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 def test_cg_even_over_two_means_integer(capsys):
     code, out, _ = run_cli(capsys, "cg", "--j1", "4/2", "--j2", "1", "--J", "1", "--M", "0")
     assert code == 0

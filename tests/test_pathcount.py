@@ -10,7 +10,7 @@ from spincorr import pathcount, selftest
 from spincorr.brute import phi_by_enumeration
 from spincorr.cg import cg_squared
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
-from spincorr.pathcount import Priors, k_bounds, path_weights, probability_table
+from spincorr.pathcount import Priors, path_weights, probability_table
 from spincorr.quantum_numbers import QN8, counts8_from_qn8, f_factor, phi
 from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import _prior_grid, check_normalization, upsilon_full_lattice
@@ -41,25 +41,34 @@ def literal_full_lattice(priors, tm10, tm02):
     return f_a * f_b * total
 
 
+def k_range(tj10, tm10, tj02, tm02, tj12):
+    """The k of the closed form's binomial sum, by filtering: those from 0 to
+    x where all six count factorials of P_k (see rational_weight) have a
+    non-negative argument."""
+    x = (tj10 + tj02 - tj12) // 2
+    c10, d10 = (tj10 + tm10) // 2, (tj10 - tm10) // 2
+    c02, d02 = (tj02 + tm02) // 2, (tj02 - tm02) // 2
+    return [k for k in range(x + 1) if min(k - x + c10, k - x + d02, d10 - k, c02 - k) >= 0]
+
+
 def rational_weight(priors, tm10, tm02):
     """The closed form as a sum of Fractions: over the (k_a, k_b) pairs of
-    k_bounds, (-1)^s r(|s|) / (P_a P_b) times c10! d10! c02! d02!, with
+    k_range, (-1)^s r(|s|) / (P_a P_b) times c10! d10! c02! d02!, with
     r(s) = prod_{i=1..s} (G - i + 1) / (G + i) and P_k the six count
-    factorials.  It differs from _weight by a positive, pair-independent
-    factor, so both normalize to the same table."""
+    factorials.  It differs from the path_weights row by a positive,
+    pair-independent factor, so both normalize to the same table."""
     x = (priors.tj10 + priors.tj02 - priors.tj12) // 2
     g = priors.n - (priors.tj10 + priors.tj02 + priors.tj12) // 2
     c10, d10 = (priors.tj10 + tm10) // 2, (priors.tj10 - tm10) // 2
     c02, d02 = (priors.tj02 + tm02) // 2, (priors.tj02 - tm02) // 2
-    k_min, k_max = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
     f = factorial
     inv_p = {
         k: Fraction(1, f(k) * f(x - k) * f(k - x + c10) * f(k - x + d02)
                     * f(d10 - k) * f(c02 - k))
-        for k in range(k_min, k_max + 1)
+        for k in k_range(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
     }
     r = [Fraction(1)]
-    for i in range(1, k_max - k_min + 1):
+    for i in range(1, len(inv_p)):
         r.append(r[-1] * Fraction(g - i + 1, g + i))
     total = sum(
         ((-1) ** abs(b - a) * r[abs(b - a)] * inv_p[a] * inv_p[b]
@@ -214,16 +223,23 @@ def brute_k_range(tj10, tm10, tj02, tm02, tj12, n=40):
 
 
 class TestKBounds:
+    """_moments has one moment per k of the binomial sum, so the number of
+    moments is the width of the k range."""
+
+    @staticmethod
+    def check(args, k_min, k_max):
+        assert k_range(*args) == list(range(k_min, k_max + 1))
+        assert brute_k_range(*args) == (k_min, k_max)
+        assert len(pathcount._moments(*args)[1]) == k_max - k_min + 1
+
     def test_centered(self):
-        assert k_bounds(2, 0, 2, 0, 2) == (0, 1)
-        assert k_bounds(2, 0, 2, 0, 2) == brute_k_range(2, 0, 2, 0, 2)
+        self.check((2, 0, 2, 0, 2), 0, 1)
 
     def test_opposite_m(self):
-        assert k_bounds(2, 2, 2, -2, 2) == (0, 0)
-        assert k_bounds(2, 2, 2, -2, 2) == brute_k_range(2, 2, 2, -2, 2)
+        self.check((2, 2, 2, -2, 2), 0, 0)
 
     def test_stretched_j12(self):
-        assert k_bounds(3, 1, 2, 0, 5) == (0, 0)
+        self.check((3, 1, 2, 0, 5), 0, 0)
 
 
 class TestUpsilon:
@@ -343,30 +359,33 @@ class TestIntegerWeight:
                             assert all(type(p) is Fraction for _, _, p in table), priors
 
     def test_weight_is_an_int(self):
-        priors = Priors(n=10**9, tj10=6, tj02=5, tj12=3, tm12=1)
-        for tm10, tm02 in allowed_m_pairs(6, 5, 1):
-            assert type(pathcount._weight(priors, tm10, tm02)) is int
+        rows = path_weights(Priors(n=10**9, tj10=6, tj02=5, tj12=3, tm12=1))
+        assert [(tm10, tm02) for tm10, tm02, _ in rows] == allowed_m_pairs(6, 5, 1)
+        assert all(type(w) is int for _, _, w in rows)
+        pre, t = pathcount._moments(6, 2, 5, -1, 3)
+        assert type(pre) is int and all(type(ts) is int for ts in t)
 
     def test_no_fraction_in_weight(self):
-        assert "Fraction" not in inspect.getsource(pathcount._weight)
+        for fn in (pathcount._moments, pathcount.path_weights):
+            assert "Fraction" not in inspect.getsource(fn)
 
     def test_check_normalization_computes_each_weight_once(self, monkeypatch):
         calls = []
-        weight = pathcount._weight
+        moments = pathcount._moments
 
-        def counted(priors, tm10, tm02):
-            calls.append((priors, tm10, tm02))
-            return weight(priors, tm10, tm02)
+        def counted(*args):
+            calls.append(args)
+            return moments(*args)
 
-        # every spincorr namespace that binds _weight
+        # every spincorr namespace that binds _moments
         for module in (pathcount, selftest):
-            if hasattr(module, "_weight"):
-                monkeypatch.setattr(module, "_weight", counted)
+            if hasattr(module, "_moments"):
+                monkeypatch.setattr(module, "_moments", counted)
         assert check_normalization(12, 2) == []
         expected = [
-            (Priors(*prior), tm10, tm02)
-            for prior in _prior_grid(12, 2)
-            for tm10, tm02 in allowed_m_pairs(*prior[1:3], prior[4])
+            (tj1, tm10, tj2, tm02, tJ)
+            for _, tj1, tj2, tJ, tM in _prior_grid(12, 2)
+            for tm10, tm02 in allowed_m_pairs(tj1, tj2, tM)
         ]
         assert calls == expected
 
@@ -380,7 +399,7 @@ def finite_difference(values, order):
 
 class TestLimitIsCGSquared:
     """P -> CG^2 as an exact identity.  Each R_s is monic of degree x in G
-    (see _weight), so every path_weights row is an integer polynomial in G,
+    (see _moments), so every path_weights row is an integer polynomial in G,
     and so in n, of degree <= x; its G^x coefficients, normalized over the
     rows, are the limit of P as n grows, and must equal cg_squared."""
 
@@ -413,7 +432,7 @@ class TestLimitIsCGSquared:
 
 
 class TestLimitCarriesCGSigns:
-    """The limit amplitude a_J(m1, m2) = sum_k (-1)^k B_k, over k_bounds, is
+    """The limit amplitude a_J(m1, m2) = sum_k (-1)^k B_k, over k_range, is
     the z-sum of the binomial formula for the signed CG coefficient, whose
     square-root prefactor is a J-only constant times
     1 / (C(2j1, j1 - m1) C(2j2, j2 - m2)).  So CG orthogonality over J != J'
@@ -424,10 +443,9 @@ class TestLimitCarriesCGSigns:
     def amplitude(tj1, tj2, tJ, tm1, tm2):
         x = (tj1 + tj2 - tJ) // 2
         d10, c02 = (tj1 - tm1) // 2, (tj2 + tm2) // 2
-        k_min, k_max = k_bounds(tj1, tm1, tj2, tm2, tJ)
         return sum(
             (-1) ** k * comb(x, k) * comb(tj1 - x, d10 - k) * comb(tj2 - x, c02 - k)
-            for k in range(k_min, k_max + 1)
+            for k in k_range(tj1, tm1, tj2, tm2, tJ)
         )
 
     def test_amplitudes_of_different_j_are_orthogonal(self):
@@ -474,9 +492,8 @@ class TestExactAtEveryN:
                             for n in (n0, n0 + 1, n0 + 5, n0 + 40)
                         )
                         single_k = all(
-                            lo == hi
-                            for lo, hi in (k_bounds(tj1, tm10, tj2, tm02, tJ)
-                                           for tm10, tm02 in pairs)
+                            len(k_range(tj1, tm10, tj2, tm02, tJ)) == 1
+                            for tm10, tm02 in pairs
                         )
                         edge = (min(tj1, tj2) <= 1 or tJ == tj1 + tj2
                                 or tJ == abs(tj1 - tj2) or abs(tM) == tJ)
@@ -484,6 +501,63 @@ class TestExactAtEveryN:
                         priors += 1
                         exact += edge
         assert (priors, exact) == (4356, 2331)
+
+
+class TestColumnCompleteness:
+    """The (m1, m2) column sums sum_J P_n(m1, m2 | J, m1 + m2), over every J
+    the pair allows, are exactly 1 at every n where a spin is <= 1/2, as the
+    CG^2 columns are; otherwise, at every n, some column sum is not 1."""
+
+    @staticmethod
+    def column_sums(n, tj1, tj2):
+        sums = {}
+        for tJ in j12_range(tj1, tj2):
+            for tM in range(-tJ, tJ + 1, 2):
+                for tm1, tm2, p in probability_table(Priors(n, tj1, tj2, tJ, tM)):
+                    sums[tm1, tm2] = sums.get((tm1, tm2), 0) + p
+        return sums
+
+    def test_complete_iff_a_spin_is_at_most_one_half(self):
+        cases = 0
+        for tj1 in range(7):
+            for tj2 in range(7):
+                lo = max(1, tj1 + tj2)
+                for n in range(lo, lo + 6):
+                    sums = self.column_sums(n, tj1, tj2)
+                    assert len(sums) == (tj1 + 1) * (tj2 + 1)
+                    complete = all(total == 1 for total in sums.values())
+                    assert complete == (min(tj1, tj2) <= 1), (n, tj1, tj2, sums)
+                    cases += 1
+        assert cases == 294
+
+    def test_one_one_at_n_6(self):
+        sums = self.column_sums(6, 2, 2)
+        assert sums.pop((2, -2)) == sums.pop((-2, 2)) == Fraction(33, 34)
+        assert sums.pop((0, 0)) == Fraction(18, 17)
+        assert sums == {pair: 1 for pair in itertools.product((2, 0, -2), repeat=2)
+                        if pair not in ((2, -2), (0, 0), (-2, 2))}
+
+
+class TestExactTableAtOneOneOne:
+    """At j1 = j2 = J = 1, M = 0 the table is ((2G + 2), 1, (2G + 2)) / (4G + 5)
+    with G = n - 3, so P - CG^2 = c1 / G + O(1 / G^2) with
+    c1 = (-1/8, 1/4, -1/8)."""
+
+    @staticmethod
+    def closed_form(g):
+        return [(2, -2, Fraction(2 * g + 2, 4 * g + 5)),
+                (0, 0, Fraction(1, 4 * g + 5)),
+                (-2, 2, Fraction(2 * g + 2, 4 * g + 5))]
+
+    def test_every_n(self):
+        for n in [*range(4, 401), 10**12]:
+            assert probability_table(Priors(n, 2, 2, 2, 0)) == self.closed_form(n - 3), n
+
+    def test_first_order_rate(self):
+        g = 10**12 - 3
+        c1 = [Fraction(-1, 8), Fraction(1, 4), Fraction(-1, 8)]
+        for (tm1, tm2, p), c in zip(probability_table(Priors(10**12, 2, 2, 2, 0)), c1):
+            assert abs(g * (p - cg_squared(2, 2, tm1, tm2, 2, 0)) - c) < Fraction(1, g)
 
 
 def regge_images(r):
@@ -498,19 +572,21 @@ def regge_images(r):
 
 
 def regge_s2(r, g):
-    """S_G^2 of the Regge symbol r, from _weight (see its docstring)."""
+    """S_G^2 of the Regge symbol r, from its path_weights row (see the
+    _moments docstring)."""
     (r11, r12, r13), (d10, d02, tjm), (c10, c02, tjp) = r
     tj1, tj2, tJ = c10 + d10, c02 + d02, tjm + tjp
     tm10, tm02 = c10 - d10, c02 - d02
     f = factorial
     n = g + (tj1 + tj2 + tJ) // 2
-    w = pathcount._weight(Priors(n, tj1, tj2, tJ, tm10 + tm02), tm10, tm02)
+    (w,) = [w for a, b, w in path_weights(Priors(n, tj1, tj2, tJ, tm10 + tm02))
+            if (a, b) == (tm10, tm02)]
     q = Fraction(w, f(c10) * f(d10) * f(c02) * f(d02))
     return q / ((f(r11) * f(r12) * f(r13)) ** 2 * perm(g + r13, r13))
 
 
 class TestReggeSymmetry:
-    """The conjecture in the _weight docstring: S_G^2 is the same at all 72
+    """The conjecture in the _moments docstring: S_G^2 is the same at all 72
     images of the Regge symbol.  Every image has the same j1 + j2 + J, so
     one G is one n, and G >= j1 + j2 + J puts every image above the n floor."""
 
@@ -548,7 +624,7 @@ def any_priors(draw):
 
 
 class TestPositivity:
-    """The steps of the positivity proof in the _weight docstring."""
+    """The steps of the positivity proof in the _moments docstring."""
 
     @settings(max_examples=300, deadline=None)
     @given(any_priors())
@@ -556,16 +632,17 @@ class TestPositivity:
         pairs = allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12)
         assert pairs
         for tm10, tm02 in pairs:
-            k_min, k_max = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
-            assert k_min <= k_max
-            w = pathcount._weight(priors, tm10, tm02)
+            assert k_range(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
+        rows = path_weights(priors)
+        assert [(tm10, tm02) for tm10, tm02, _ in rows] == pairs
+        for _, _, w in rows:
             assert type(w) is int and w > 0
 
     def test_witness_has_one_nonzero_phi(self):
         # at l12 = k_min + j12 - n/2 only k = k_min gives a non-zero phi
         for priors in small_priors(n_max=8, tj_max=4):
             for tm10, tm02 in allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12):
-                k_min, _ = k_bounds(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)
+                k_min = k_range(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)[0]
                 tl12 = 2 * k_min - priors.n + priors.tj12
                 nonzero = [
                     k for k in range(priors.n + 1)
@@ -576,14 +653,15 @@ class TestPositivity:
 
     @pytest.mark.parametrize("spoil", [lambda w: 0, lambda w: -w], ids=["zero", "negated"])
     def test_check_normalization_reports_non_positive_weight(self, monkeypatch, spoil):
-        weight = pathcount._weight
         spoiled = Priors(n=6, tj10=2, tj02=2, tj12=2, tm12=0)
 
-        def one_spoiled(priors, tm10, tm02):
-            w = weight(priors, tm10, tm02)
-            return spoil(w) if (priors, tm10, tm02) == (spoiled, 0, 0) else w
+        def one_spoiled(priors):
+            return [
+                (tm10, tm02, spoil(w) if (priors, tm10, tm02) == (spoiled, 0, 0) else w)
+                for tm10, tm02, w in path_weights(priors)
+            ]
 
-        monkeypatch.setattr(pathcount, "_weight", one_spoiled)
+        monkeypatch.setattr(selftest, "path_weights", one_spoiled)
         assert check_normalization(6, 2) == [
             f"non-positive path count for {spoiled}, pair (0, 0)"
         ]
