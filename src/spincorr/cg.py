@@ -7,8 +7,8 @@ The closed-form (Racah) expression is evaluated without floating point:
 after squaring, every square root collapses to a rational, and the
 alternating z-sum shares one z-independent radicand, so cg_squared is an
 exact rational prefactor times the square of the z-sum.  The z-sum is
-taken in integers over one common denominator, and one Fraction is built
-at the end.
+taken in integers over one common denominator, each term from the one
+before it by an exact integer ratio, and one Fraction is built at the end.
 Only squares are exposed; sign conventions never enter.
 """
 
@@ -56,22 +56,18 @@ def cg_squared(tj1: int, tj2: int, tm1: int, tm2: int, tJ: int, tM: int) -> Frac
 
     # term z is (-1)^z / (z! (a-z)! (b-z)! (c-z)! (d+z)! (e+z)!); over the
     # common denominator z_hi! (a-z_lo)! (b-z_lo)! (c-z_lo)! (d+z_hi)!
-    # (e+z_hi)! its numerator is the integer product of falling factorials
+    # (e+z_hi)! its numerator N(z) is an integer, built up from N(z_lo)
     z_lo = max(0, -d, -e)
     z_hi = min(a, b, c)
     common = f(z_hi) * f(a - z_lo) * f(b - z_lo) * f(c - z_lo) * f(d + z_hi) * f(e + z_hi)
+    s = z_hi - z_lo
+    term = perm(z_hi, s) * perm(d + z_hi, s) * perm(e + z_hi, s)
     zsum = 0
     for z in range(z_lo, z_hi + 1):
-        up, down = z - z_lo, z_hi - z
-        term = (
-            perm(z_hi, down)
-            * perm(a - z_lo, up)
-            * perm(b - z_lo, up)
-            * perm(c - z_lo, up)
-            * perm(d + z_hi, down)
-            * perm(e + z_hi, down)
-        )
         zsum += -term if z % 2 else term
+        # exact: N(z + 1) is `common` over its term's denominator, an integer
+        # for z < z_hi, and 0 at z = z_hi, where a-z, b-z or c-z is 0
+        term = term * (a - z) * (b - z) * (c - z) // ((z + 1) * (d + z + 1) * (e + z + 1))
     return Fraction(pre * zsum * zsum, f((tj1 + tj2 + tJ) // 2 + 1) * common * common)
 
 

@@ -8,6 +8,8 @@ Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import re
 import sys
@@ -248,14 +250,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_spins(argv))
-    # p and CG^2 are exact integers of any size, so the interpreter's limit on
-    # the digits of an int printed as text is lifted, but only once the flag
-    # text is parsed, and only where the interpreter has the limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
+        help_text = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(help_text):
+                args = build_parser().parse_args(_join_negative_spins(argv))
+        except SystemExit:
+            # argparse prints --help and exits, ignoring a closed stdout;
+            # printed here, the help meets a closed pipe as results do
+            print(help_text.getvalue(), end="", flush=True)
+            raise
+        # p and CG^2 are exact integers of any size, so the interpreter's limit
+        # on the digits of an int printed as text is lifted, but only once the
+        # flag text is parsed, and only where the interpreter has the limit
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code

@@ -67,6 +67,19 @@ class TestCgSquared:
                                 allowed += tm1 + tm2 == tM and check_triangle(tj1, tj2, tJ)
         assert allowed == 7809
 
+    @pytest.mark.parametrize("tj1, tj2, tJ, tM", [
+        (30, 30, 30, 0),  # j = 15: up to 16 terms
+        (60, 60, 60, 0),  # j = 30: up to 31 terms
+        (41, 43, 42, 0),  # j1 = 41/2, j2 = 43/2
+        (119, 80, 79, 1),  # j1 = 119/2, j2 = 40, J = 79/2
+    ])
+    def test_long_z_sums_equal_the_fraction_z_sum(self, tj1, tj2, tJ, tM):
+        """Every row of priors whose z-sums run to tens of terms, so the
+        term-to-term ratio is taken many times over."""
+        for tm1, tm2 in allowed_m_pairs(tj1, tj2, tM):
+            args = (tj1, tj2, tm1, tm2, tJ, tM)
+            assert cg_squared(*args) == fraction_cg_squared(*args), args
+
 
     def test_two_spin_one_reference_values(self):
         assert cg_squared(2, 2, 2, -2, 2, 0) == Fraction(1, 2)
@@ -103,6 +116,12 @@ class TestCgSquared:
                             for tm1, tm2 in allowed_m_pairs(tj1, tj2, tM)
                         )
                         assert total == 1, (tj1, tj2, tJ, tM)
+
+    def test_completeness_at_j_50(self):
+        # 101 rows, the middle one a z-sum of 51 terms
+        pairs = list(allowed_m_pairs(100, 100, 0))
+        assert len(pairs) == 101
+        assert sum(cg_squared(100, 100, tm1, tm2, 100, 0) for tm1, tm2 in pairs) == 1
 
     def test_sign_flip_invariance(self):
         for args in ((2, 2, 2, -2, 2, 0), (3, 2, 1, 0, 3, 1), (4, 2, 2, 0, 4, 2)):

@@ -661,14 +661,17 @@ def test_regression(argv, code, fragment, isolated):
         assert rows and all(len(row) == len(header) for row in rows)
 
 
-# one request per command; the converge scan prints about 110 kB, more than
-# a buffered stdout holds, so it meets the closed pipe while it writes
+# one request per command, then help; the converge scan prints about 110 kB,
+# more than a buffered stdout holds, so it meets the closed pipe while it writes
 CLOSED_PIPE_REQUESTS = [
     pytest.param(["prob", "--n", "6", *SPINS_1_1_1_0], id="prob"),
     pytest.param(["cg", *SPINS_1_1_1_0], id="cg"),
     pytest.param(["converge", *SPINS_1_1_1_0, "--n-start", "6", "--n-max", "600"],
                  id="converge"),
     pytest.param(["selftest"], id="selftest"),
+    # argparse prints the help text and exits inside parse_args
+    pytest.param(["--help"], id="help"),
+    pytest.param(["prob", "--help"], id="prob-help"),
 ]
 
 
