@@ -9,20 +9,15 @@ module: those belong to quantum_numbers.phi, which the binning checks.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Iterator
 
 from .errors import BudgetExceededError
-from .quantum_numbers import (
-    PAIRS, QN8, SYMBOLS8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts,
-)
+from .quantum_numbers import QN8, SYMBOLS8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts
 from .sequences import BitSeq, CorrSeq, apply_map, correlate
 
 # the most sequences one exhaustive enumeration may cover: it grows as 2^(d*n)
 ENUM_CAP = 1 << 24
-
-PAIR_FIELDS = {pair: tuple(f"t{q}{pair}" for q in "jmgl") for pair in PAIRS}
 
 
 def check_enum_cap(total: int) -> None:
@@ -81,31 +76,6 @@ def phi_by_enumeration(q: QN8) -> int:
         if counts_key_to_qn8(key) == q:
             total += multiplicity
     return total
-
-
-def witness_triples(n: int, **constraints: int) -> Iterator[tuple[BitSeq, BitSeq, BitSeq]]:
-    """All (s1, s0, s2) triples whose pairwise quantum numbers match the
-    given doubled-integer constraints (e.g. tj10=2, tm02=-1, tj12=3).
-
-    The middle sequence is the reference; unknown constraint names raise.
-    """
-    valid = {name for fields in PAIR_FIELDS.values() for name in fields}
-    unknown = set(constraints) - valid
-    if unknown:
-        raise ValueError(f"unknown constraints: {sorted(unknown)}")
-    check_enum_cap(2 ** (3 * n))
-    # BitSeq's check of n; product((0, 1), ...) yields only valid bits, so
-    # no sequence is validated again
-    BitSeq((0,) * n)
-    for bits in itertools.product((0, 1), repeat=3 * n):
-        triple = tuple(BitSeq._trusted(bits[i : i + n]) for i in (0, n, 2 * n))
-        for pair, fields in PAIR_FIELDS.items():
-            i, j = PAIRS[pair]
-            q = qn4_of_corrseq(correlate([triple[i], triple[j]]))
-            if any(constraints.get(name, v) != v for name, v in zip(fields, q)):
-                break
-        else:
-            yield triple
 
 
 def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> frozenset[str]:

@@ -56,8 +56,8 @@ def _emit(rows: list[dict], args) -> None:
             },
             "rows": rows,
         }
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        # one write: unbuffered, json.dump would write each chunk separately
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         import csv
 

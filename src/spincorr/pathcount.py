@@ -97,7 +97,10 @@ def _moments(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> tuple[int
     j10 + j12 - j02, x), the three j - m and the three j + m.  Then
     S_G^2 = Q / ((R11! R12! R13!)^2 (G + x)!/G!), with Q = sum_s t_s R_s(G)
     the weight over pre, is the same at all 72 row and column permutations
-    and transpositions of R, as Racah's S^2 of the 3j symbol is.
+    and transpositions of R, as Racah's S^2 of the 3j symbol is.  Free of G:
+    S_G^2 = sum_s u_s G!^2/((G - s)! (G + s)!), u_s = t_s/(R11! R12! R13!)^2,
+    over independent functions of G free of x, so at every G it says that
+    u, trailing zeros stripped, is the same at every image.
     """
     x = (tj10 + tj02 - tj12) // 2
     c10, d10 = (tj10 + tm10) // 2, (tj10 - tm10) // 2

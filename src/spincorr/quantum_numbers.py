@@ -21,7 +21,7 @@ from math import factorial
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .records import Record
 from .selection import require_projection
-from .sequences import PAIR_OF_ALIAS, CorrSeq, alphabet, count_symbols
+from .sequences import PAIR_OF_ALIAS, BitSeq, CorrSeq, alphabet, count_symbols
 
 Counts4 = dict[tuple[int, int], int]
 Counts8 = dict[tuple[int, int, int], int]
@@ -30,7 +30,7 @@ A, B, C, D = (PAIR_OF_ALIAS[alias] for alias in "ABCD")
 
 SYMBOLS8 = alphabet(3)
 
-# each pair's two positions, both in a base-8 symbol and in a triple (s1, s0, s2)
+# each pair's two positions in a base-8 symbol (x1, x0, x2)
 PAIRS = {"10": (0, 1), "02": (1, 2), "12": (0, 2)}
 
 
@@ -235,7 +235,8 @@ def j12_bounds_constrained(q10: QN4, q02: QN4) -> tuple[int, int]:
         s2 = 0^t000 1^t001 0^t100 1^t101 0^t010 1^t011 0^t110 1^t111
 
     has the tables' margins as its (10) and (02) counts, so it carries q10
-    and q02 and realizes tj12 = tj10 + tj02 - 2(u + v).
+    and q02 and realizes tj12 = tj10 + tj02 - 2(u + v).  witness_triple is
+    this layout in code.
     """
     if q10.n != q02.n:
         raise ConstraintError(f"relations disagree on n: {q10.n}, {q02.n}")
@@ -250,3 +251,27 @@ def j12_bounds_constrained(q10: QN4, q02: QN4) -> tuple[int, int]:
     tj_min = tj_sum - 2 * min(c10[C], c02[D]) - 2 * min(c10[D], c02[C])
     tj_max = tj_sum - 2 * max(0, c10[C] - c02[A]) - 2 * max(0, c10[D] - c02[B])
     return tj_min, tj_max
+
+
+# the proof's block order: SYMBOLS8 with the reference bit x0 = 0 first
+_BLOCKS = sorted(SYMBOLS8, key=lambda sym: sym[1])
+
+
+def witness_triple(q10: QN4, q02: QN4, tj12: int) -> tuple[BitSeq, BitSeq, BitSeq] | None:
+    """The triple (s1, s0, s2) of the j12_bounds_constrained proof with
+    relations q10, q02 and a (12) one of doubled j12 tj12, or None if no
+    triple has them.  Its free cells sum to w = (tj10 + tj02 - tj12)/2, and
+    u = max(0, C10 - A02, w - min(D10, C02)) puts both in range.  Raises as
+    j12_bounds_constrained does, and ValueError at n = 0."""
+    lo, hi = j12_bounds_constrained(q10, q02)
+    if not lo <= tj12 <= hi or (tj12 - lo) % 2:
+        return None
+    c10, c02 = counts4_from_qn4(q10), counts4_from_qn4(q02)
+    w = (q10.tj + q02.tj - tj12) // 2
+    u = max(0, c10[C] - c02[A], w - min(c10[D], c02[C]))
+    v = w - u
+    # t000, t001, t100, t101, then t010, t011, t110, t111, as in the proof
+    counts = (c10[A] - c02[D] + u, c02[D] - u, c10[C] - u, u,
+              v, c10[D] - v, c02[C] - v, c10[B] - c02[C] + v)
+    symbols = [sym for sym, t in zip(_BLOCKS, counts) for _ in range(t)]
+    return tuple(BitSeq(tuple(sym[i] for sym in symbols)) for i in range(3))

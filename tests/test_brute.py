@@ -13,7 +13,6 @@ from spincorr.brute import (
     map_conservation_report,
     phi_by_enumeration,
     random_bits,
-    witness_triples,
 )
 from spincorr.errors import BudgetExceededError
 from spincorr.quantum_numbers import QN8, phi
@@ -120,39 +119,6 @@ class TestPhiByEnumeration:
     def test_key_of_other_than_eight_counts_rejected(self, size):
         with pytest.raises(ValueError):
             counts_key_to_qn8((1,) * size)
-
-
-class TestWitnessTriples:
-    def test_overlap_example(self):
-        observed = set()
-        for s1, s0, s2 in witness_triples(4, tj10=2, tj02=1):
-            from spincorr.quantum_numbers import qn4_of_corrseq
-            from spincorr.sequences import correlate
-
-            observed.add(qn4_of_corrseq(correlate([s1, s2])).tj)
-        assert {1, 3} <= observed
-
-    def test_triangle_violating_constraints_empty(self):
-        assert list(witness_triples(3, tj10=1, tj02=1, tj12=6)) == []
-
-    def test_zero_j02_forces_identical_sequences(self):
-        triples = list(witness_triples(3, tj02=0))
-        assert triples
-        for _, s0, s2 in triples:
-            assert s0 == s2
-
-    def test_unknown_constraint(self):
-        with pytest.raises(ValueError):
-            list(witness_triples(2, tj99=0))
-
-    def test_budget(self):
-        # 2^27 triples at n = 9; the cap refuses before the first one
-        with pytest.raises(BudgetExceededError):
-            next(witness_triples(9))
-
-    def test_empty_sequences_rejected(self):
-        with pytest.raises(ValueError, match="length n >= 1"):
-            next(witness_triples(0))
 
 
 class TestMapConservation:

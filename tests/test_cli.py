@@ -181,6 +181,24 @@ class TestConverge:
         assert code == 0
         jsonschema.validate(json.loads(out), load_schema())
 
+    def test_json_is_one_write(self, monkeypatch):
+        # with PYTHONUNBUFFERED=1 every write reaches the pipe on its own, so
+        # the document goes out in one
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        code = main(["converge", *SPINS_1_1_1_0, "--n-start", "6", "--n-max", "96",
+                     "--geometric", "--format", "json"])
+        assert code == 0
+        assert len(writes) == 1
+        assert writes[0].endswith("}\n")
+        jsonschema.validate(json.loads(writes[0]), load_schema())
+
     def test_geometric_params_echo_step_zero(self, capsys):
         code, out, _ = run_cli(
             capsys, "converge", "--j1", "1", "--j2", "1", "--J", "1", "--M", "0",

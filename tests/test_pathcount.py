@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 from fractions import Fraction
@@ -560,6 +561,19 @@ class TestExactTableAtOneOneOne:
             assert abs(g * (p - cg_squared(2, 2, tm1, tm2, 2, 0)) - c) < Fraction(1, g)
 
 
+def regge_symbols(tj_max):
+    """The Regge symbol of every row (j1, j2, J, M, m1, m2) with 2j1, 2j2 <= tj_max."""
+    for tj1 in range(tj_max + 1):
+        for tj2 in range(tj_max + 1):
+            for tJ in j12_range(tj1, tj2):
+                for tM in range(-tJ, tJ + 1, 2):
+                    for tm1, tm2 in allowed_m_pairs(tj1, tj2, tM):
+                        yield (((tj2 + tJ - tj1) // 2, (tj1 + tJ - tj2) // 2,
+                                (tj1 + tj2 - tJ) // 2),
+                               ((tj1 - tm1) // 2, (tj2 - tm2) // 2, (tJ + tM) // 2),
+                               ((tj1 + tm1) // 2, (tj2 + tm2) // 2, (tJ - tM) // 2))
+
+
 def regge_images(r):
     """The distinct images of the 3x3 array r under its 72 row and column
     permutations and transpositions."""
@@ -593,22 +607,37 @@ class TestReggeSymmetry:
     @pytest.mark.parametrize("extra", [1, 2, 6])
     def test_invariant_at_every_image(self, extra):
         rows = checks = 0
-        for tj1 in range(5):
-            for tj2 in range(5):
-                for tJ in j12_range(tj1, tj2):
-                    for tM in range(-tJ, tJ + 1, 2):
-                        for tm1, tm2 in allowed_m_pairs(tj1, tj2, tM):
-                            r = (((tj2 + tJ - tj1) // 2, (tj1 + tJ - tj2) // 2,
-                                  (tj1 + tj2 - tJ) // 2),
-                                 ((tj1 - tm1) // 2, (tj2 - tm2) // 2, (tJ + tM) // 2),
-                                 ((tj1 + tm1) // 2, (tj2 + tm2) // 2, (tJ - tM) // 2))
-                            g = sum(r[0]) + extra
-                            s2 = regge_s2(r, g)
-                            for image in regge_images(r):
-                                assert regge_s2(image, g) == s2, (r, image, g)
-                                checks += 1
-                            rows += 1
+        for r in regge_symbols(4):
+            g = sum(r[0]) + extra
+            s2 = regge_s2(r, g)
+            for image in regge_images(r):
+                assert regge_s2(image, g) == s2, (r, image, g)
+                checks += 1
+            rows += 1
         assert (rows, checks) == (517, 12267)
+
+    def test_moments_over_top_row_factorials_invariant(self):
+        # the G-free form: u_s = t_s/(R11! R12! R13!)^2, trailing zeros
+        # stripped, is the same at every distinct image, so S_G^2 is at every G;
+        # images recur across rows, so each symbol's u is computed once
+        @functools.cache
+        def u(r):
+            (r11, r12, r13), (d10, d02, tjm), (c10, c02, tjp) = r
+            _, t = pathcount._moments(c10 + d10, c10 - d10, c02 + d02, c02 - d02, tjm + tjp)
+            top = (factorial(r11) * factorial(r12) * factorial(r13)) ** 2
+            scaled = [Fraction(ts, top) for ts in t]
+            while scaled and not scaled[-1]:
+                scaled.pop()
+            return tuple(scaled)
+
+        rows = checks = 0
+        for r in regge_symbols(6):
+            expected = u(r)
+            for image in regge_images(r):
+                assert u(image) == expected, (r, image)
+                checks += 1
+            rows += 1
+        assert (rows, checks) == (2408, 78490)
 
 
 @st.composite

@@ -1,17 +1,18 @@
 import argparse
+import functools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spincorr.brute import enumerate_base8_counts, witness_triples
+from spincorr.brute import base8_count_layers, enumerate_base8_counts
 from spincorr.cg import cg_squared
 from spincorr.cli import _spins
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
 from spincorr.pathcount import Priors
 from spincorr.quantum_numbers import (
     QN4, SYMBOLS8, f_factor, j12_bounds_constrained, pair_counts4, qn4_from_counts,
-    qn4_of_corrseq,
+    qn4_of_corrseq, witness_triple,
 )
 from spincorr.selection import (
     allowed_m_pairs,
@@ -146,14 +147,15 @@ class TestConstrainedBounds:
         q02 = QN4(tj=2, tm=0, tg=10, tl=0)
         assert j12_bounds_constrained(q10, q02) == (0, 4)
 
-    def _observed_j12(self, n, q10, q02):
+    def _observed_j12(self, q10, q02):
+        # the measured j12 of the witness of every tj12 a length-n triple
+        # could have, each witness checked to carry q10 and q02
         observed = set()
-        for s1, s0, s2 in witness_triples(
-            n,
-            tj10=q10.tj, tm10=q10.tm, tg10=q10.tg, tl10=q10.tl,
-            tj02=q02.tj, tm02=q02.tm, tg02=q02.tg, tl02=q02.tl,
-        ):
-            observed.add(qn4_of_corrseq(correlate([s1, s2])).tj)
+        for tj12 in range(q10.n + 1):
+            triple = witness_triple(q10, q02, tj12)
+            if triple is not None:
+                assert measure(triple) == (q10, q02, tj12)
+                observed.add(tj12)
         return observed
 
     def test_bounds_bracket_enumeration_n4(self):
@@ -161,7 +163,7 @@ class TestConstrainedBounds:
         q10 = QN4(tj=2, tm=2, tg=2, tl=2)
         q02 = QN4(tj=1, tm=-1, tg=3, tl=3)
         lo, hi = j12_bounds_constrained(q10, q02)
-        observed = self._observed_j12(4, q10, q02)
+        observed = self._observed_j12(q10, q02)
         assert observed
         assert min(observed) >= lo and max(observed) <= hi
 
@@ -169,7 +171,7 @@ class TestConstrainedBounds:
         q10 = QN4(tj=2, tm=2, tg=2, tl=2)
         q02 = QN4(tj=2, tm=-2, tg=2, tl=2)
         lo, hi = j12_bounds_constrained(q10, q02)
-        observed = self._observed_j12(4, q10, q02)
+        observed = self._observed_j12(q10, q02)
         assert observed
         assert min(observed) >= lo and max(observed) <= hi
 
@@ -192,14 +194,80 @@ class TestConstrainedBounds:
         assert sum(q10.n == 8 for q10, _ in realized) == 3333
 
     def test_every_triangle_value_realizable_at_tight_n(self):
-        # n = 2(j10 + j02): every j12 admitted by the triangle rule occurs
-        tj1, tj2 = 2, 2
-        n = tj1 + tj2
-        for tj12 in j12_range(tj1, tj2):
-            found = next(
-                witness_triples(n, tj10=tj1, tj02=tj2, tj12=tj12), None
-            )
-            assert found is not None, tj12
+        # n = 2(j10 + j02): every j12 admitted by the triangle rule occurs,
+        # here between two relations with m = l = 0
+        q = QN4(tj=2, tm=0, tg=2, tl=0)
+        for tj12 in j12_range(q.tj, q.tj):
+            triple = witness_triple(q, q, tj12)
+            assert triple is not None, tj12
+            assert measure(triple) == (q, q, tj12)
+
+
+def measure(triple):
+    """(q10, q02, tj12) of a triple (s1, s0, s2), as qn4_of_corrseq measures it."""
+    s1, s0, s2 = triple
+    return (qn4_of_corrseq(correlate([s1, s0])), qn4_of_corrseq(correlate([s0, s2])),
+            qn4_of_corrseq(correlate([s1, s2])).tj)
+
+
+@functools.cache
+def realized_pairs(n_max):
+    """Every (q10, q02) that a base-8 count vector of length 1 to n_max realizes."""
+    pairs = set()
+    layers = base8_count_layers(n_max)
+    next(layers)  # the empty layer: a bit sequence has length n >= 1
+    for bins in layers:
+        for key in bins:
+            c8 = dict(zip(SYMBOLS8, key, strict=True))
+            pairs.add(tuple(qn4_from_counts(pair_counts4(c8, pair)) for pair in ("10", "02")))
+    return pairs
+
+
+class TestWitnessTriple:
+    """witness_triple, the symbol blocks of the j12_bounds_constrained proof."""
+
+    def test_witness_exactly_where_admissible(self):
+        # every pair up to n = 6, and every tj12 from two below lo to two
+        # above hi, the other parity included: a witness exists exactly at
+        # lo, lo + 2, ..., hi, and it measures as asked
+        pairs = realized_pairs(6)
+        assert len(pairs) == 2057
+        witnesses = 0
+        for q10, q02 in pairs:
+            lo, hi = j12_bounds_constrained(q10, q02)
+            for tj12 in range(lo - 2, hi + 3):
+                triple = witness_triple(q10, q02, tj12)
+                if lo <= tj12 <= hi and (tj12 - lo) % 2 == 0:
+                    assert triple is not None, (q10, q02, tj12)
+                    assert measure(triple) == (q10, q02, tj12)
+                    witnesses += 1
+                else:
+                    assert triple is None, (q10, q02, tj12)
+        assert witnesses == 2957
+
+    def test_zero_j02_forces_identical_sequences(self):
+        zero_j02 = [(q10, q02) for q10, q02 in realized_pairs(6) if q02.tj == 0]
+        assert zero_j02
+        for q10, q02 in zero_j02:
+            _, s0, s2 = witness_triple(q10, q02, q10.tj)
+            assert s0 == s2
+
+    def test_triangle_violating_j12_has_none(self):
+        # n = 3 relations that share the reference, j12 = 3 > j10 + j02 = 1
+        q10 = QN4(tj=1, tm=1, tg=2, tl=0)
+        q02 = QN4(tj=1, tm=-1, tg=2, tl=0)
+        assert j12_bounds_constrained(q10, q02) == (0, 2)
+        assert witness_triple(q10, q02, 6) is None
+
+    def test_mismatched_reference_raises(self):
+        q = QN4(tj=2, tm=2, tg=2, tl=2)
+        with pytest.raises(ConstraintError, match="zeros: 4, 2"):
+            witness_triple(q, q, 0)
+
+    def test_empty_sequences_rejected(self):
+        q = QN4(tj=0, tm=0, tg=0, tl=0)
+        with pytest.raises(ValueError, match="length n >= 1"):
+            witness_triple(q, q, 0)
 
 
 class TestAllowedMPairs:
