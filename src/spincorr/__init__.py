@@ -10,7 +10,7 @@ from spincorr.quantum_numbers and spincorr.sequences.
 """
 
 from .cg import cg_squared
-from .errors import BudgetExceededError, ConstraintError, InvalidQuantumNumberError, SpincorrError
+from .errors import ConstraintError, InvalidQuantumNumberError, SpincorrError
 from .halfint import format_half_integer, parse_half_integer
 from .pathcount import Priors, probability_table
 from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "cg_squared",
-    "BudgetExceededError", "ConstraintError", "InvalidQuantumNumberError", "SpincorrError",
+    "ConstraintError", "InvalidQuantumNumberError", "SpincorrError",
     "format_half_integer", "parse_half_integer",
     "Priors", "probability_table",
     "allowed_m_pairs", "check_triangle", "g12_range", "j12_range",

@@ -12,20 +12,13 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 
-from .errors import BudgetExceededError
+from .errors import ConstraintError
 from .quantum_numbers import QN8, SYMBOLS8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts
 from .sequences import BitSeq, CorrSeq, apply_map, correlate
 
-# the most sequences one exhaustive enumeration may cover: it grows as 2^(d*n)
-ENUM_CAP = 1 << 24
-
-
-def check_enum_cap(total: int) -> None:
-    """Raise BudgetExceededError if `total` sequences exceed ENUM_CAP."""
-    if total > ENUM_CAP:
-        raise BudgetExceededError(
-            f"enumerating {total} sequences exceeds the budget of {ENUM_CAP}"
-        )
+# the longest sequences the full-grid binning reaches: layer n holds
+# C(n + 7, 7) count vectors, and n = 12 (50,388 vectors) takes about 0.4 s
+ENUM_N_MAX = 12
 
 
 def base8_count_layers(n_max: int) -> Iterator[dict[tuple, int]]:
@@ -37,10 +30,11 @@ def base8_count_layers(n_max: int) -> Iterator[dict[tuple, int]]:
     length-n sequence is one length-(n-1) prefix followed by one symbol, so
     the bins grow by extending prefixes: each bin's multiplicity passes to
     the 8 bins holding one more of a symbol.  Only additions are used, no
-    factorial.  The enumeration cap counts the 8^n_max sequences of the
-    last layer before the first layer is built.
+    factorial.  An n_max above ENUM_N_MAX raises ConstraintError before the
+    first layer is built.
     """
-    check_enum_cap(8**n_max)
+    if n_max > ENUM_N_MAX:
+        raise ConstraintError(f"enumeration length n = {n_max} exceeds the bound {ENUM_N_MAX}")
     bins: dict[tuple, int] = {(0,) * 8: 1}
     yield bins
     for _ in range(n_max):

@@ -11,7 +11,3 @@ class InvalidQuantumNumberError(SpincorrError, ValueError):
 
 class ConstraintError(SpincorrError, ValueError):
     """A semantic constraint (length, triangle rule, n bound) is violated."""
-
-
-class BudgetExceededError(SpincorrError, RuntimeError):
-    """An exhaustive enumeration would exceed brute.ENUM_CAP (2**24 sequences)."""

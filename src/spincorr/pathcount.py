@@ -74,20 +74,20 @@ def _moments(tj10: int, tm10: int, tj02: int, tm02: int, tj12: int) -> tuple[int
     pre sum_s t_s = pre (sum_k (-1)^k B_k)^2.
 
     Every weight is positive, so every table is a probability distribution:
-    1. The raw lattice sum is f_a f_b times
-       sum_(k_a, k_b) (-1)^(k_a + k_b) sum_l12 phi(k_a, l12) phi(k_b, l12)
-       = sum_l12 (sum_k (-1)^k phi(k, l12))^2 >= 0, the sum of squares that
-       selftest.upsilon_full_lattice computes, and the weight is the raw sum
-       divided by the positive factor above.
-    2. At l12 = k_min + j12 - n/2 the (000) count is k_min - k and the (111)
-       count G + k - k_min, with G >= 0 as n >= 2(j10 + j02).  So phi vanishes
-       above k_min, and below it, where k, k - x + c10 or k - x + d02 is < 0;
-       at k_min every count is >= 0 (step 4).  With one k term non-zero, that
-       l12's square, and so the sum, is positive.
-    3. Priors makes allowed_m_pairs non-empty: as |m12| <= j12 <= j10 + j02,
+    1. R_s(G) = c(G) C(2G, G + s) / C(2G, G), with c(G) = (G + x)!/G!, and
+       (-1)^s C(2G, G + s) is the s-th Fourier coefficient of
+       (2 sin(theta/2))^(2G) = |1 - e^(i theta)|^(2G), which is >= 0 and is
+       zero only at theta = 0.  So for every b != 0
+       b^T M(G) b = c(G) / C(2G, G) (1/2 pi) int (2 sin(theta/2))^(2G)
+       |sum_k b_k e^(i k theta)|^2 d theta > 0, and the Toeplitz matrix M(G)
+       is positive definite for every G >= 0 (Grenander and Szego, Toeplitz
+       Forms and Their Applications, 1958).  Every B_k with k from k_min to
+       k_max is a product of binomials in range, so b != 0 when that range is
+       not empty (step 3).
+    2. Priors makes allowed_m_pairs non-empty: as |m12| <= j12 <= j10 + j02,
        m10 = max(-j10, m12 - j02) puts both m's in range, and the integral
        perimeter gives m02 = m12 - m10 the parity of j02.
-    4. k_min <= k_max for every allowed pair: of the nine inequalities, x >= 0,
+    3. k_min <= k_max for every allowed pair: of the nine inequalities, x >= 0,
        x <= 2j10 and x <= 2j02 are the triangle rule, x <= c10 + c02 and
        x <= d10 + d02 are |m12| <= j12, and the other four say c10, d10, c02
        or d02 is >= 0.

@@ -126,7 +126,8 @@ def _prior_grid(n_max: int, tj_max: int):
 
 def check_normalization(n_max: int, tj_max: int) -> list[str]:
     """Probabilities sum to exactly 1, and every path count is positive, as
-    the proof in pathcount._moments says; a zero or negative one is reported."""
+    the Toeplitz form in pathcount._moments' proof makes it; a zero or
+    negative one is reported."""
     problems = []
     for n, tj1, tj2, tJ, tM in _prior_grid(n_max, tj_max):
         priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
@@ -148,9 +149,10 @@ def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
     """Reference path count: scan the whole (k, l12) rectangle, letting
     invalid lattice points contribute zero, with no precomputed bounds.
 
-    phi is evaluated once at every lattice point, and the sum is the one
-    step 1 of the proof in pathcount._moments gives: f_a f_b times the sum
-    over l12 of (sum_k (-1)^k phi(k, l12))^2.
+    The raw sum is f_a f_b times the sum over (k_a, k_b, l12) of
+    (-1)^(k_a + k_b) phi(k_a, l12) phi(k_b, l12), which is the sum over l12
+    of (sum_k (-1)^k phi(k, l12))^2; that form evaluates phi once at every
+    lattice point.
     """
     f_a = f_factor(priors.n, priors.tj10, tm10)
     f_b = f_factor(priors.n, priors.tj02, tm02)

@@ -1,11 +1,12 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
 from spincorr import brute
 from spincorr.brute import (
-    ENUM_CAP,
+    ENUM_N_MAX,
     base8_count_layers,
     conserved_quantum_numbers,
     counts_key_to_qn8,
@@ -14,7 +15,7 @@ from spincorr.brute import (
     phi_by_enumeration,
     random_bits,
 )
-from spincorr.errors import BudgetExceededError
+from spincorr.errors import ConstraintError
 from spincorr.quantum_numbers import QN8, phi
 from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq, apply_map
 
@@ -44,17 +45,12 @@ class TestEnumerateBase8Counts:
         # Same key order too, so a failing selftest lists the same mismatches.
         assert list(bins) == list(reference)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, ENUM_N_MAX + 1))
     def test_covers_every_sequence(self, n):
-        assert sum(enumerate_base8_counts(n).values()) == 8**n
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_budget_counts_sequences_covered(self, n, monkeypatch):
-        monkeypatch.setattr(brute, "ENUM_CAP", 8**n - 1)
-        with pytest.raises(BudgetExceededError):
-            enumerate_base8_counts(n)
-        monkeypatch.setattr(brute, "ENUM_CAP", 8**n)
-        assert sum(enumerate_base8_counts(n).values()) == 8**n
+        # C(n + 7, 7) count vectors: 50,388 at the bound, n = 12
+        bins = enumerate_base8_counts(n)
+        assert len(bins) == comb(n + 7, 7)
+        assert sum(bins.values()) == 8**n
 
     def test_grown_layers_equal_enumeration(self):
         """One pass yields every length's bins, each equal to its own
@@ -68,21 +64,21 @@ class TestEnumerateBase8Counts:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_layers_budget_counts_last_layer_first(self, n, monkeypatch):
-        monkeypatch.setattr(brute, "ENUM_CAP", 8**n - 1)
+        monkeypatch.setattr(brute, "ENUM_N_MAX", n - 1)
         layers = base8_count_layers(n)
         # the first next() raises, so no layer, not even n = 0, was yielded
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(ConstraintError):
             next(layers)
-        monkeypatch.setattr(brute, "ENUM_CAP", 8**n)
+        monkeypatch.setattr(brute, "ENUM_N_MAX", n)
         assert [sum(bins.values()) for bins in base8_count_layers(n)] == [
             8**i for i in range(n + 1)
         ]
 
-    def test_cap_refuses_n9(self):
-        # n = 8 covers exactly ENUM_CAP sequences; test_covers_every_sequence runs it
-        assert ENUM_CAP == 8**8 == 2**24
-        with pytest.raises(BudgetExceededError, match=str(ENUM_CAP)):
-            enumerate_base8_counts(9)
+    def test_bound_refuses_n13(self):
+        # n = 12 is the bound; test_covers_every_sequence runs it
+        assert ENUM_N_MAX == 12
+        with pytest.raises(ConstraintError, match="n = 13 exceeds the bound 12"):
+            enumerate_base8_counts(13)
 
     def test_no_factorial_enters_the_oracle(self):
         banned = ("math", "factorial", "comb", "multinomial")
@@ -103,9 +99,9 @@ class TestPhiByEnumeration:
         assert phi_by_enumeration(q) == 1
 
     def test_budget(self):
-        q = QN8(n=9, tj10=0, tj02=0, tm10=0, tm02=0, tj12=0, tl12=9, k=0)
+        q = QN8(n=13, tj10=0, tj02=0, tm10=0, tm02=0, tj12=0, tl12=13, k=0)
         assert phi(q) == 1
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(ConstraintError):
             phi_by_enumeration(q)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

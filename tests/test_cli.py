@@ -181,9 +181,11 @@ class TestConverge:
         assert code == 0
         jsonschema.validate(json.loads(out), load_schema())
 
-    def test_json_is_one_write(self, monkeypatch):
-        # with PYTHONUNBUFFERED=1 every write reaches the pipe on its own, so
-        # the document goes out in one
+    @staticmethod
+    def writes(monkeypatch, *flags):
+        """The stdout writes of the README converge request with these flags:
+        with PYTHONUNBUFFERED=1 each write reaches the pipe on its own, so a
+        document must go out in one."""
         writes = []
 
         class Recorder(io.StringIO):
@@ -193,11 +195,22 @@ class TestConverge:
 
         monkeypatch.setattr(sys, "stdout", Recorder())
         code = main(["converge", *SPINS_1_1_1_0, "--n-start", "6", "--n-max", "96",
-                     "--geometric", "--format", "json"])
+                     "--geometric", *flags])
         assert code == 0
+        return writes
+
+    def test_json_is_one_write(self, monkeypatch):
+        writes = self.writes(monkeypatch, "--format", "json")
         assert len(writes) == 1
         assert writes[0].endswith("}\n")
         jsonschema.validate(json.loads(writes[0]), load_schema())
+
+    def test_csv_is_one_write(self, monkeypatch):
+        writes = self.writes(monkeypatch)
+        assert len(writes) == 1
+        header, *rows = csv.reader(io.StringIO(writes[0]))
+        assert header[:2] == ["n", "j1"] and header[-1] == "delta_decimal"
+        assert len(rows) == 15 and all(len(row) == len(header) for row in rows)
 
     def test_geometric_params_echo_step_zero(self, capsys):
         code, out, _ = run_cli(
@@ -482,10 +495,10 @@ def loaded_modules(formats):
 
 
 def test_table_commands_import_only_the_closed_form_path():
-    # a csv request loads neither json nor the selftest-only modules
+    # a csv request loads neither csv, json nor the selftest-only modules
     assert loaded_modules(["csv", "json"]) == [
-        "loaded after csv tables: csv",
-        "loaded after json tables: csv,json",
+        "loaded after csv tables: ",
+        "loaded after json tables: json",
         "loaded after selftest: " + ",".join(SELFTEST_ONLY),
     ]
 

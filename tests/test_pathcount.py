@@ -561,6 +561,40 @@ class TestExactTableAtOneOneOne:
             assert abs(g * (p - cg_squared(2, 2, tm1, tm2, 2, 0)) - c) < Fraction(1, g)
 
 
+class TestFirstOrderRate:
+    """P - CG^2 = c1 / G + O(1 / G^2), read off _moments.  R_s(G) / c(G),
+    with c(G) = (G + x)!/G!, is G!^2/((G - s)! (G + s)!) = 1 - s^2/G + O(1/G^2),
+    so each weight over c(G) is f0 + f2 / G + O(1 / G^2), with
+    f0 = pre sum_s t_s and f2 = -pre sum_s s^2 t_s.  With F = sum_rows f0,
+    the limit is f0 / F and c1 = f2 / F - CG^2 sum_rows f2 / F."""
+
+    def test_rate_from_moments_against_rational_weight(self):
+        g = 10**30
+        priors = rows = 0
+        for tj1 in range(7):
+            for tj2 in range(7):
+                for tJ in j12_range(tj1, tj2):
+                    for tM in range(-tJ, tJ + 1, 2):
+                        pairs = allowed_m_pairs(tj1, tj2, tM)
+                        f0, f2 = [], []
+                        for tm10, tm02 in pairs:
+                            pre, t = pathcount._moments(tj1, tm10, tj2, tm02, tJ)
+                            f0.append(pre * sum(t))
+                            f2.append(-pre * sum(s * s * ts for s, ts in enumerate(t)))
+                        big = Priors(g + (tj1 + tj2 + tJ) // 2, tj1, tj2, tJ, tM)
+                        weights = [rational_weight(big, tm10, tm02) for tm10, tm02 in pairs]
+                        for (tm10, tm02), a, b, w in zip(pairs, f0, f2, weights):
+                            cg2 = cg_squared(tj1, tj2, tm10, tm02, tJ, tM)
+                            assert Fraction(a, sum(f0)) == cg2
+                            c1 = Fraction(b, sum(f0)) - cg2 * Fraction(sum(f2), sum(f0))
+                            p = w / sum(weights)
+                            assert abs(g * (p - cg2) - c1) < Fraction(10**6, g), (
+                                tj1, tj2, tJ, tM, tm10, tm02)
+                        priors += 1
+                        rows += len(pairs)
+        assert (priors, rows) == (784, 2408)
+
+
 def regge_symbols(tj_max):
     """The Regge symbol of every row (j1, j2, J, M, m1, m2) with 2j1, 2j2 <= tj_max."""
     for tj1 in range(tj_max + 1):
@@ -653,7 +687,8 @@ def any_priors(draw):
 
 
 class TestPositivity:
-    """The steps of the positivity proof in the _moments docstring."""
+    """The positivity proof in the _moments docstring, and the weights it
+    makes positive."""
 
     @settings(max_examples=300, deadline=None)
     @given(any_priors())
@@ -667,8 +702,29 @@ class TestPositivity:
         for _, _, w in rows:
             assert type(w) is int and w > 0
 
+    def test_toeplitz_matrix_is_positive_definite(self):
+        # step 1: R_s(G) C(2G, G) = c(G) C(2G, G + s), and exact elimination
+        # of M[i, k] = (-1)^(i - k) R_|i-k|(G) meets only positive pivots
+        matrices = 0
+        for x in range(9):
+            for g in range(61):
+                r = [perm(g, s) * perm(g + x, x - s) for s in range(x + 1)]
+                assert [rs * comb(2 * g, g) for rs in r] == [
+                    perm(g + x, x) * comb(2 * g, g + s) for s in range(x + 1)]
+                m = [[Fraction((-1) ** (i - k) * r[abs(i - k)]) for k in range(x + 1)]
+                     for i in range(x + 1)]
+                for p in range(x + 1):
+                    assert m[p][p] > 0, (x, g, p)
+                    for i in range(p + 1, x + 1):
+                        factor = m[i][p] / m[p][p]
+                        for k in range(p, x + 1):
+                            m[i][k] -= factor * m[p][k]
+                matrices += 1
+        assert matrices == 549
+
     def test_witness_has_one_nonzero_phi(self):
-        # at l12 = k_min + j12 - n/2 only k = k_min gives a non-zero phi
+        # at l12 = k_min + j12 - n/2 only k = k_min gives a non-zero phi: a
+        # true property of phi, though the positivity proof no longer uses it
         for priors in small_priors(n_max=8, tj_max=4):
             for tm10, tm02 in allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12):
                 k_min = k_range(priors.tj10, tm10, priors.tj02, tm02, priors.tj12)[0]
