@@ -107,6 +107,13 @@ def qn4_of_corrseq(c: CorrSeq) -> QN4:
     return QN4._trusted(*_doubled_jmgl(counts[A], counts[B], counts[C], counts[D]))
 
 
+def qn4_of_packed(x: int, y: int, n: int) -> QN4:
+    """qn4_of_corrseq(correlate([s, t])) for n-bit s and t packed into ints
+    x and y, a set bit per 1: B counts their common 1s, C and D the rest."""
+    b, cx, cy = (x & y).bit_count(), x.bit_count(), y.bit_count()
+    return QN4._trusted(*_doubled_jmgl(n - cx - cy + b, b, cx - b, cy - b))
+
+
 def qn8_from_counts(c: Counts8) -> QN8:
     """Evaluate the eight quantum numbers from base-8 counts."""
     # t<x1 x0 x2> is the count of that symbol, in the order of SYMBOLS8

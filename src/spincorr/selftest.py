@@ -21,7 +21,7 @@ from . import brute
 from .pathcount import Priors, normalize, path_weights, probability_table
 from .quantum_numbers import (
     QN8, A, B, C, D, counts4_from_qn4, f_factor, phi, qn4_from_counts,
-    qn4_of_corrseq,
+    qn4_of_corrseq, qn4_of_packed,
 )
 from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
 from .sequences import BitSeq, correlate
@@ -60,19 +60,23 @@ _TRIPLE_RELATIONS = (
 
 
 def check_random_triples(n_values: list[int], trials: int, rng: random.Random) -> list[str]:
-    """Relations between the three pairwise measurements of random triples."""
+    """Relations between the three pairwise measurements of random triples,
+    taken on packed bits and, in the first trial of each n, by correlate as
+    well.  Raises ValueError for n < 1, before any draw."""
+    if min(n_values, default=1) < 1:
+        raise ValueError(f"sequence length n must be >= 1, got {min(n_values)}")
     problems = []
     for n in n_values:
         # every trial's n bits of s1, then of s0, then of s2, in one draw:
-        # the same stream as one 3n-bit draw per trial
-        bits = brute.random_bits(rng, 3 * n * trials)
+        # the same stream as one 3n-bit draw per trial, one byte per bit
+        raw = bytes(brute.random_bits(rng, 3 * n * trials))
         for t in range(0, 3 * n * trials, 3 * n):
-            s1 = BitSeq._trusted(bits[t : t + n])
-            s0 = BitSeq._trusted(bits[t + n : t + 2 * n])
-            s2 = BitSeq._trusted(bits[t + 2 * n : t + 3 * n])
-            q10 = qn4_of_corrseq(correlate([s1, s0]))
-            q02 = qn4_of_corrseq(correlate([s0, s2]))
-            q12 = qn4_of_corrseq(correlate([s1, s2]))
+            x1 = int.from_bytes(raw[t : t + n], "big")
+            x0 = int.from_bytes(raw[t + n : t + 2 * n], "big")
+            x2 = int.from_bytes(raw[t + 2 * n : t + 3 * n], "big")
+            q10 = qn4_of_packed(x1, x0, n)
+            q02 = qn4_of_packed(x0, x2, n)
+            q12 = qn4_of_packed(x1, x2, n)
             lo, hi = g12_range(n, q10.tj, q02.tj)
             # one tuple of outcomes, in the order of _TRIPLE_RELATIONS; the
             # names are paired with them only when one fails
@@ -85,12 +89,14 @@ def check_random_triples(n_values: list[int], trials: int, rng: random.Random) -
                 check_triangle(q10.tj, q02.tj, q12.tj),
                 lo <= q12.tg <= hi,
             )
-            if not all(oks):
-                for name, ok in zip(_TRIPLE_RELATIONS, oks):
-                    if not ok:
-                        problems.append(
-                            f"{name} failed at n={n} for ({s1}, {s0}, {s2})"
-                        )
+            if t == 0 or not all(oks):
+                s1, s0, s2 = (BitSeq._trusted(tuple(raw[i : i + n])) for i in (t, t + n, t + 2 * n))
+                where = f"at n={n} for ({s1}, {s0}, {s2})"
+                pairs = ([s1, s0], [s0, s2], [s1, s2])
+                if t == 0 and [qn4_of_corrseq(correlate(p)) for p in pairs] != [q10, q02, q12]:
+                    problems.append(f"packed and correlated measurements differ {where}")
+                problems += [f"{name} failed {where}" for name, ok in zip(_TRIPLE_RELATIONS, oks)
+                             if not ok]
     return problems
 
 

@@ -100,8 +100,8 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
     if len(seqs) < 2:
         raise ValueError("correlation needs at least 2 sequences")
     # the columns are taken once, and plain loops check them: a generator
-    # expression costs a frame per call, and the selftest correlates
-    # thousands of pairs
+    # expression costs a frame per call, and a selftest run correlates
+    # about 600 pairs, nearly all in the map check
     columns = tuple(map(_BITS, seqs))
     n = len(columns[0])
     for bits in columns:
@@ -133,7 +133,8 @@ def count_symbols(c: CorrSeq) -> dict[Symbol, int]:
     if type(c) is not CorrSeq:
         c = CorrSeq(c.order, c.symbols)
     # a plain loop: before Python 3.12 a comprehension costs a frame per
-    # call, and the selftest counts thousands of sequences
+    # call, and a selftest run counts about 800 sequences, nearly all in
+    # the map check
     symbols = c.symbols
     keys = alphabet(c.order)
     counts = {}

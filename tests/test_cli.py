@@ -439,6 +439,37 @@ class TestSelftest:
             "g range failed at n=16 for (1100111110110010, 0100111001110111, 1100000000101100)",
         ]
 
+    def test_random_triples_compare_the_correlate_route(self, monkeypatch):
+        """The first trial of each n is measured through correlate as well:
+        a production route that disagrees with the packed bits is reported
+        once per n, naming the triple, and no other line fails."""
+        from spincorr import selftest
+
+        measure = selftest.qn4_of_corrseq
+
+        def shifted(c):
+            tj, tm, tg, tl = measure(c)
+            return tj, tm + 2, tg, tl
+
+        monkeypatch.setattr(selftest, "qn4_of_corrseq", shifted)
+        assert selftest.check_random_triples([4, 16], 7, random.Random(7)) == [
+            "packed and correlated measurements differ at n=4 for (1010, 0010, 0001)",
+            "packed and correlated measurements differ at n=16 for "
+            "(0010010011100111, 0111110000000010, 1100111001111101)",
+        ]
+
+    @pytest.mark.parametrize("n_values", [[0], [-2], [4, 0]])
+    def test_random_triples_reject_short_lengths(self, n_values):
+        """n < 1 raises ValueError naming it before any draw, as
+        brute.map_conservation_report does."""
+        from spincorr.selftest import check_random_triples
+
+        rng = random.Random(7)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"got {min(n_values)}$"):
+            check_random_triples(n_values, 5, rng)
+        assert rng.getstate() == state
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self):

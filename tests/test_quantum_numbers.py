@@ -15,6 +15,7 @@ from spincorr.quantum_numbers import (
     pair_counts4,
     qn4_from_counts,
     qn4_of_corrseq,
+    qn4_of_packed,
     qn8_from_counts,
 )
 from spincorr.selection import check_projection
@@ -97,6 +98,17 @@ class TestQN4:
                 # built through QN4._trusted, and equal to a validated QN4
                 assert type(q) is QN4
                 assert q == QN4(*q) and hash(q) == hash(QN4(*q))
+
+    def test_of_packed_matches_correlate(self):
+        """Every pair of bit tuples with n <= 6 (5,460 pairs), packed one
+        byte per bit as the selftest's triple check packs them."""
+        for n in range(1, 7):
+            seqs = list(itertools.product((0, 1), repeat=n))
+            for a, b in itertools.product(seqs, repeat=2):
+                q = qn4_of_packed(int.from_bytes(bytes(a), "big"),
+                                  int.from_bytes(bytes(b), "big"), n)
+                assert q == qn4_of_corrseq(correlate([BitSeq(a), BitSeq(b)])), (a, b)
+                assert type(q) is QN4
 
 
 class TestQN8:
