@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from itertools import compress
+from operator import eq
 
 from .errors import ConstraintError
-from .quantum_numbers import QN8, SYMBOLS8, counts8_from_qn8, qn4_of_corrseq, qn8_from_counts
+from .quantum_numbers import QN8, counts8_from_qn8, qn4_of_corrseq, qn8_from_count_tuple
 from .sequences import BitSeq, CorrSeq, apply_map, correlate
 
 # the longest sequences the full-grid binning reaches: layer n holds
@@ -40,8 +42,13 @@ def base8_count_layers(n_max: int) -> Iterator[dict[tuple, int]]:
     for _ in range(n_max):
         longer: dict[tuple, int] = {}
         for key, multiplicity in bins.items():
+            # each grown key is the key with one count raised by 1, made
+            # from a list that is raised and lowered back in place
+            counts = list(key)
             for s in range(8):
-                grown = key[:s] + (key[s] + 1,) + key[s + 1 :]
+                counts[s] += 1
+                grown = tuple(counts)
+                counts[s] -= 1
                 longer[grown] = longer.get(grown, 0) + multiplicity
         bins = longer
         yield bins
@@ -58,7 +65,7 @@ def enumerate_base8_counts(n: int) -> dict[tuple, int]:
 def counts_key_to_qn8(key: tuple) -> QN8:
     """Interpret a lexicographic 8-tuple of counts as base-8 counts; a key
     of any other length raises ValueError."""
-    return qn8_from_counts(dict(zip(SYMBOLS8, key, strict=True)))
+    return qn8_from_count_tuple(key)
 
 
 def phi_by_enumeration(q: QN8) -> int:
@@ -77,7 +84,10 @@ def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> frozenset[s
     before = qn4_of_corrseq(initial)
     after = qn4_of_corrseq(apply_map(initial, mapping))
     # a QN4 is the tuple (tj, tm, tg, tl)
-    return frozenset(name for name, x, y in zip("jmgl", before, after) if x == y)
+    return frozenset(compress("jmgl", map(eq, before, after)))
+
+
+_ALL_CONSERVED = frozenset("jmgl")
 
 
 # top byte of a 32-bit Mersenne Twister output -> randrange(2) outcome, the
@@ -87,8 +97,8 @@ _TOP_BYTE_TO_BIT = bytes(b >> 6 & 1 for b in range(256))
 _REJECTED_TOP_BYTES = bytes(range(0x80, 0x100))
 
 
-def random_bits(rng: random.Random, count: int) -> tuple[int, ...]:
-    """count random bits: exactly tuple(rng.randrange(2) for _ in range(count)),
+def random_bits(rng: random.Random, count: int) -> bytes:
+    """count random bits: exactly bytes(rng.randrange(2) for _ in range(count)),
     leaving rng in exactly the state those calls leave it in.
 
     For random.Random itself only (not a subclass that overrides random()
@@ -109,13 +119,13 @@ def random_bits(rng: random.Random, count: int) -> tuple[int, ...]:
         need = count - len(bits)
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         bits += words[3::4].translate(_TOP_BYTE_TO_BIT, _REJECTED_TOP_BYTES)
-    return tuple(bits)
+    return bits
 
 
 def _random_corrseq(rng: random.Random, n: int) -> CorrSeq:
     """Two random n-bit columns correlated, drawn first column first."""
     bits = random_bits(rng, 2 * n)
-    return correlate([BitSeq._trusted(bits[:n]), BitSeq._trusted(bits[n:])])
+    return correlate([BitSeq._trusted(tuple(bits[:n])), BitSeq._trusted(tuple(bits[n:]))])
 
 
 def map_conservation_report(n: int, trials: int, seed: int) -> dict:
@@ -136,12 +146,12 @@ def map_conservation_report(n: int, trials: int, seed: int) -> dict:
     # draw: the same stream as one draw per sequence
     bits = random_bits(rng, 4 * n * trials)
     for t in range(0, 4 * n * trials, 4 * n):
-        seqs = [BitSeq._trusted(bits[i : i + n]) for i in range(t, t + 4 * n, n)]
+        seqs = [BitSeq._trusted(tuple(bits[i : i + n])) for i in range(t, t + 4 * n, n)]
         initial = correlate(seqs[:2])
         mapping = correlate(seqs[2:])
         conserved = conserved_quantum_numbers(initial, mapping)
         conserved_tally[conserved] = conserved_tally.get(conserved, 0) + 1
-        if conserved == frozenset("jmgl"):
+        if conserved == _ALL_CONSERVED:
             final = apply_map(initial, mapping)
             if sorted(final.symbols) != sorted(initial.symbols):
                 mismatches.append(
@@ -155,7 +165,7 @@ def map_conservation_report(n: int, trials: int, seed: int) -> dict:
         final = CorrSeq._trusted(2, tuple(permuted))
         mapping = apply_map(initial, final)
         conserved = conserved_quantum_numbers(initial, mapping)
-        if conserved != frozenset("jmgl"):
+        if conserved != _ALL_CONSERVED:
             mismatches.append(
                 f"permutation map fails to conserve {set('jmgl') - conserved}"
             )

@@ -15,6 +15,7 @@ them into fractions or text is left to halfint and cli, at the edges.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial
 
@@ -116,8 +117,14 @@ def qn4_of_packed(x: int, y: int, n: int) -> QN4:
 
 def qn8_from_counts(c: Counts8) -> QN8:
     """Evaluate the eight quantum numbers from base-8 counts."""
-    # t<x1 x0 x2> is the count of that symbol, in the order of SYMBOLS8
-    t000, t001, t010, t011, t100, t101, t110, t111 = map(c.get, SYMBOLS8, (0,) * 8)
+    return qn8_from_count_tuple(map(c.get, SYMBOLS8, (0,) * 8))
+
+
+def qn8_from_count_tuple(counts: Iterable[int]) -> QN8:
+    """The eight quantum numbers of base-8 counts given in the order of
+    SYMBOLS8; any other number of counts raises ValueError."""
+    # t<x1 x0 x2> is the count of that symbol
+    t000, t001, t010, t011, t100, t101, t110, t111 = counts
     # positional: a keyword call costs about twice as much, and the phi
     # check evaluates thousands of count vectors
     return QN8(
@@ -132,18 +139,18 @@ def qn8_from_counts(c: Counts8) -> QN8:
     )
 
 
-# the symbols of counts8_from_qn8's doubled counts, in the order it fills them
+# the symbols of _halved_counts' counts, in the order it gives them
 _DOUBLED_SYMBOLS = ((0, 1, 0), (1, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 1),
                     (1, 1, 1), (0, 0, 0))
 
 
-def counts8_from_qn8(q: QN8) -> Counts8 | None:
-    """Recover the eight counts, or None if any would be negative or
-    non-integral (the summation engine skips such lattice points)."""
+def _halved_counts(q: QN8) -> tuple[int, ...] | None:
+    """The eight counts of q in the order of _DOUBLED_SYMBOLS, or None if
+    any would be negative or non-integral."""
     n, tj10, tj02, tm10, tm02, tj12, tl12, k = q
     tk = 2 * k
-    # in the order of _DOUBLED_SYMBOLS; most lattice points fail here, so
-    # they are tested before any dict is built
+    # most lattice points fail here, so they are tested before any count
+    # is halved
     doubled = (
         tk,  # (0, 1, 0)
         tj10 + tj02 - tj12 - tk,  # (1, 0, 1)
@@ -155,12 +162,16 @@ def counts8_from_qn8(q: QN8) -> Counts8 | None:
         n - tj12 + tl12 - tk,  # (0, 0, 0)
     )
     for tv in doubled:
-        if tv < 0 or tv % 2:
+        if tv < 0 or tv & 1:
             return None
-    counts: Counts8 = {}
-    for sym, tv in zip(_DOUBLED_SYMBOLS, doubled):
-        counts[sym] = tv // 2
-    return counts
+    return tuple([tv >> 1 for tv in doubled])
+
+
+def counts8_from_qn8(q: QN8) -> Counts8 | None:
+    """Recover the eight counts, or None if any would be negative or
+    non-integral (the summation engine skips such lattice points)."""
+    counts = _halved_counts(q)
+    return None if counts is None else dict(zip(_DOUBLED_SYMBOLS, counts))
 
 
 def phi(q: QN8) -> int:
@@ -170,11 +181,11 @@ def phi(q: QN8) -> int:
 
     An oracle: the closed-form path count in pathcount never calls it.
     """
-    counts = counts8_from_qn8(q)
+    counts = _halved_counts(q)
     if counts is None:
         return 0
     result = factorial(q.n)
-    for c in counts.values():
+    for c in counts:
         result //= factorial(c)
     return result
 

@@ -7,9 +7,6 @@ pass/fail line.  The random seed is printed so failures reproduce.
 
 from __future__ import annotations
 
-import gc
-import marshal
-import os
 import random
 import sys
 import time
@@ -62,14 +59,16 @@ _TRIPLE_RELATIONS = (
 def check_random_triples(n_values: list[int], trials: int, rng: random.Random) -> list[str]:
     """Relations between the three pairwise measurements of random triples,
     taken on packed bits and, in the first trial of each n, by correlate as
-    well.  Raises ValueError for n < 1, before any draw."""
+    well.  A packed measurement has tj + tg = n by construction, so the
+    "n identity" tests only that correlate route.  Raises ValueError for
+    n < 1, before any draw."""
     if min(n_values, default=1) < 1:
         raise ValueError(f"sequence length n must be >= 1, got {min(n_values)}")
     problems = []
     for n in n_values:
         # every trial's n bits of s1, then of s0, then of s2, in one draw:
         # the same stream as one 3n-bit draw per trial, one byte per bit
-        raw = bytes(brute.random_bits(rng, 3 * n * trials))
+        raw = brute.random_bits(rng, 3 * n * trials)
         for t in range(0, 3 * n * trials, 3 * n):
             x1 = int.from_bytes(raw[t : t + n], "big")
             x0 = int.from_bytes(raw[t + n : t + 2 * n], "big")
@@ -77,17 +76,22 @@ def check_random_triples(n_values: list[int], trials: int, rng: random.Random) -
             q10 = qn4_of_packed(x1, x0, n)
             q02 = qn4_of_packed(x0, x2, n)
             q12 = qn4_of_packed(x1, x2, n)
-            lo, hi = g12_range(n, q10.tj, q02.tj)
+            # unpacked once: QN4.n is a property, and each field is read
+            # more than once below
+            tj10, tm10, tg10, tl10 = q10
+            tj02, tm02, tg02, tl02 = q02
+            tj12, tm12, tg12, tl12 = q12
+            lo, hi = g12_range(n, tj10, tj02)
             # one tuple of outcomes, in the order of _TRIPLE_RELATIONS; the
             # names are paired with them only when one fails
             oks = (
-                q10.n == n and q02.n == n and q12.n == n,
-                q12.tm == q10.tm + q02.tm,
-                q12.tm == q02.tl - q10.tl,
-                q12.tl == q10.tl + q02.tm,
-                q12.tl == q02.tl - q10.tm,
-                check_triangle(q10.tj, q02.tj, q12.tj),
-                lo <= q12.tg <= hi,
+                tj10 + tg10 == n and tj02 + tg02 == n and tj12 + tg12 == n,
+                tm12 == tm10 + tm02,
+                tm12 == tl02 - tl10,
+                tl12 == tl10 + tm02,
+                tl12 == tl02 - tm10,
+                check_triangle(tj10, tj02, tj12),
+                lo <= tg12 <= hi,
             )
             if t == 0 or not all(oks):
                 s1, s0, s2 = (BitSeq._trusted(tuple(raw[i : i + n])) for i in (t, t + n, t + 2 * n))
@@ -117,6 +121,10 @@ def check_roundtrips(trials: int, rng: random.Random) -> list[str]:
 
 
 def check_permutation_maps(n: int, trials: int, rng: random.Random) -> list[str]:
+    """brute.map_conservation_report at length n, seeded by one draw from
+    rng.  Raises ValueError for n < 1, before that draw."""
+    if n < 1:
+        raise ValueError(f"sequence length n must be >= 1, got {n}")
     report = brute.map_conservation_report(n, trials, rng.randrange(1 << 30))
     return list(report["mismatches"])
 
@@ -160,19 +168,17 @@ def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
     of (sum_k (-1)^k phi(k, l12))^2; that form evaluates phi once at every
     lattice point.
     """
-    f_a = f_factor(priors.n, priors.tj10, tm10)
-    f_b = f_factor(priors.n, priors.tj02, tm02)
+    n, tj10, tj02, tj12 = priors.n, priors.tj10, priors.tj02, priors.tj12
     # crude but safe cap: k is a count bounded by both 2j10 and 2j02
-    k_hi = min(priors.tj10, priors.tj02)
-    total = sum(
-        sum(
-            (-1) ** k * phi(QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
-                                priors.tj12, tl12, k))
-            for k in range(0, k_hi + 1)
-        ) ** 2
-        for tl12 in range(-priors.n, priors.n + 1)
-    )
-    return f_a * f_b * total
+    k_hi = min(tj10, tj02)
+    total = 0
+    for tl12 in range(-n, n + 1):
+        inner = 0
+        for k in range(k_hi + 1):
+            p = phi(QN8(n, tj10, tj02, tm10, tm02, tj12, tl12, k))
+            inner += -p if k & 1 else p
+        total += inner * inner
+    return f_factor(n, tj10, tm10) * f_factor(n, tj02, tm02) * total
 
 
 def check_bounds_equivalence(n_max: int, tj_max: int) -> list[str]:
@@ -209,93 +215,28 @@ def _run_timed(checks: list[Check]) -> list[Result]:
     return results
 
 
-def _run_beside(forked: list[Check], here: list[Check]) -> list[Result]:
-    """The results of `here`, run in this process, and of `forked`, run at
-    the same time in a forked child where os.fork exists.
-
-    The heap is frozen (gc.freeze) right before the fork and unfrozen once
-    the child is reaped, as CPython's gc documentation advises for a fork
-    without exec: while the two processes run, neither one's collector
-    scans the objects they share, so less CPU goes to collection and fewer
-    shared pages are copied.  The child sends its results back through a
-    pipe and leaves only through os._exit, so it never returns into the
-    caller or flushes the caller's buffers.  If it fails or sends nothing,
-    `forked` runs here as well, and an exception it raises reaches the
-    caller as usual.
-    """
-    if not hasattr(os, "fork"):
-        return _run_timed(here) + _run_timed(forked)
-    read_fd, write_fd = os.pipe()
-    gc.freeze()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(marshal.dumps(_run_timed(forked)))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        try:
-            results = _run_timed(here)
-        finally:
-            # read to the end before reaping, whether or not `here` raised
-            try:
-                with os.fdopen(read_fd, "rb") as pipe:
-                    data = pipe.read()
-            finally:
-                _, status = os.waitpid(pid, 0)
-    finally:
-        gc.unfreeze()
-    if os.waitstatus_to_exitcode(status) != 0 or not data:
-        return results + _run_timed(forked)
-    return results + marshal.loads(data)
-
-
 def run_selftest(seed: int = 0) -> bool:
     """Run every check; print the seed and one line per check to stdout,
     then each check's time to stderr.
 
-    The seeded checks draw from one random.Random(seed) in a fixed order.
-    The three seed-free checks take no rng, so where os.fork exists they
-    run in a forked child at the same time, which leaves the draw stream
-    and stdout as they are.  Nothing is printed before every check is done.
+    The checks run in print order, in this process.  The seeded ones draw
+    from one random.Random(seed) in that order, so a printed seed names
+    the same draws in every version.  Nothing is printed before every
+    check is done.
     """
     rng = random.Random(seed)
-
-    # (name, draws from rng, check) in print order; the checks that draw
-    # run here in this order, the others beside them
-    checks: list[tuple[str, bool, Callable[[], list[str]]]] = [
-        ("phi_by_enumeration equivalence", False, lambda: check_phi_equivalence(6)),
-        (
-            "random-triple selection rules",
-            True,
-            lambda: check_random_triples([4, 16, 64], 1000, rng),
-        ),
-        ("count/quantum-number round trips", True, lambda: check_roundtrips(1000, rng)),
-        (
-            "permutation map conservation",
-            True,
-            lambda: check_permutation_maps(32, 200, rng),
-        ),
-        ("exact normalization", False, lambda: check_normalization(12, 2)),
-        ("summation bounds equivalence", False, lambda: check_bounds_equivalence(8, 2)),
-    ]
-    by_name = {
-        name: (problems, ms)
-        for name, problems, ms in _run_beside(
-            forked=[(name, fn) for name, draws, fn in checks if not draws],
-            here=[(name, fn) for name, draws, fn in checks if draws],
-        )
-    }
+    results = _run_timed([
+        ("phi_by_enumeration equivalence", lambda: check_phi_equivalence(6)),
+        ("random-triple selection rules", lambda: check_random_triples([4, 16, 64], 1000, rng)),
+        ("count/quantum-number round trips", lambda: check_roundtrips(1000, rng)),
+        ("permutation map conservation", lambda: check_permutation_maps(32, 200, rng)),
+        ("exact normalization", lambda: check_normalization(12, 2)),
+        ("summation bounds equivalence", lambda: check_bounds_equivalence(8, 2)),
+    ])
 
     print(f"seed: {seed}")
     all_ok = True
-    for name, _, _ in checks:
-        problems = by_name[name][0]
+    for name, problems, _ in results:
         status = "PASS" if not problems else "FAIL"
         all_ok &= not problems
         print(f"{status} {name}")
@@ -303,6 +244,6 @@ def run_selftest(seed: int = 0) -> bool:
             print(f"  {p}")
         if len(problems) > 5:
             print(f"  ... {len(problems) - 5} more")
-    for name, _, _ in checks:
-        print(f"selftest: {name}: {by_name[name][1]:.1f} ms", file=sys.stderr)
+    for name, _, ms in results:
+        print(f"selftest: {name}: {ms:.1f} ms", file=sys.stderr)
     return all_ok

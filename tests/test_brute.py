@@ -15,8 +15,8 @@ from spincorr.brute import (
     phi_by_enumeration,
     random_bits,
 )
-from spincorr.errors import ConstraintError
-from spincorr.quantum_numbers import QN8, phi
+from spincorr.errors import ConstraintError, InvalidQuantumNumberError
+from spincorr.quantum_numbers import QN8, SYMBOLS8, phi, qn8_from_counts
 from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq, apply_map
 
 
@@ -111,6 +111,23 @@ class TestPhiByEnumeration:
         for key, observed in bins.items():
             assert phi(counts_key_to_qn8(key)) == observed
 
+    def test_key_reads_as_the_counts_by_symbol(self):
+        """counts_key_to_qn8 gives what qn8_from_counts gives for the same
+        counts keyed by symbol, for all 3,003 keys up to n = 6; both reject
+        the empty key (n = 0)."""
+        layers = base8_count_layers(6)
+        (empty,) = next(layers)
+        with pytest.raises(InvalidQuantumNumberError):
+            counts_key_to_qn8(empty)
+        with pytest.raises(InvalidQuantumNumberError):
+            qn8_from_counts(dict(zip(SYMBOLS8, empty)))
+        keys = [key for bins in layers for key in bins]
+        assert len(keys) == 3002
+        for key in keys:
+            q = counts_key_to_qn8(key)
+            assert type(q) is QN8
+            assert q == qn8_from_counts(dict(zip(SYMBOLS8, key))), key
+
     @pytest.mark.parametrize("size", [7, 9])
     def test_key_of_other_than_eight_counts_rejected(self, size):
         with pytest.raises(ValueError):
@@ -192,5 +209,5 @@ class TestRandomBits:
         for seed in range(3 if count > 5000 else 50):
             rng, reference = random.Random(seed), random.Random(seed)
             bits = random_bits(rng, count)
-            assert bits == tuple(reference.randrange(2) for _ in range(count))
+            assert bits == bytes(reference.randrange(2) for _ in range(count))
             assert rng.getstate() == reference.getstate()

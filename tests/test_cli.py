@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import gc
 import hashlib
 import io
 import itertools
@@ -254,7 +253,7 @@ class TestSelftest:
 
     def test_corrupted_phi_fails(self, capsys, monkeypatch):
         """Doubling phi leaves the normalized lattice sum as it is, so only
-        the enumeration check sees it; the forked child inherits the patch."""
+        the enumeration check sees it."""
         from spincorr import selftest
 
         monkeypatch.setattr(selftest, "phi", lambda q, phi=selftest.phi: 2 * phi(q))
@@ -333,16 +332,6 @@ class TestSelftest:
         assert tally == expected
         assert list(tally) == list(expected)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_stdout_same_without_fork(self, capsys, monkeypatch, seed):
-        from spincorr.selftest import run_selftest
-
-        forked = run_selftest(seed=seed)
-        forked_out = capsys.readouterr().out
-        monkeypatch.delattr(os, "fork")
-        assert run_selftest(seed=seed) == forked
-        assert capsys.readouterr().out == forked_out
-
     def test_timings_on_stderr(self, capsys):
         from spincorr.selftest import run_selftest
 
@@ -355,48 +344,26 @@ class TestSelftest:
         ]
         assert all(line.endswith(" ms") for line in lines)
 
-    def test_forked_check_error_surfaces(self, monkeypatch):
-        """A seed-free check that raises kills only the child; the parent
-        runs it again and raises the same error, with no zombie left."""
+    def test_check_error_reaches_the_caller_in_process(self, monkeypatch, capsys):
+        """Every check runs in the calling process: with no process allowed
+        to start, a passing suite still passes, and a check that raises
+        reaches the caller as it is, before anything is printed."""
         from spincorr import selftest
+
+        def no_fork():
+            raise AssertionError("run_selftest started a process")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        assert selftest.run_selftest(seed=0)
+        capsys.readouterr()
 
         def broken(n_max, tj_max):
             raise ZeroDivisionError("broken check")
 
         monkeypatch.setattr(selftest, "check_bounds_equivalence", broken)
-        pid = os.getpid()
         with pytest.raises(ZeroDivisionError, match="broken check"):
             selftest.run_selftest(seed=0)
-        assert os.getpid() == pid
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("outcome", ["passes", "check_error"])
-    def test_heap_frozen_only_around_the_fork(self, monkeypatch, outcome):
-        """The heap is frozen when the child is forked and unfrozen once it
-        is reaped, so a long-lived caller such as pytest keeps collecting;
-        also when a forked check raises and the parent runs it again."""
-        from spincorr import selftest
-
-        frozen_at_fork = []
-        fork = os.fork
-
-        def recording_fork():
-            frozen_at_fork.append(gc.get_freeze_count())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-        if outcome == "check_error":
-            def broken(n_max, tj_max):
-                raise ZeroDivisionError("broken check")
-
-            monkeypatch.setattr(selftest, "check_bounds_equivalence", broken)
-            with pytest.raises(ZeroDivisionError, match="broken check"):
-                selftest.run_selftest(seed=0)
-        else:
-            assert selftest.run_selftest(seed=0)
-        assert len(frozen_at_fork) == 1 and frozen_at_fork[0] > 0
-        assert gc.get_freeze_count() == 0
+        assert capsys.readouterr().out == ""
 
     def test_random_triples_failure_messages_pinned(self, monkeypatch):
         """Each failure message names the drawn triple, so with the triangle
@@ -468,6 +435,18 @@ class TestSelftest:
         state = rng.getstate()
         with pytest.raises(ValueError, match=f"got {min(n_values)}$"):
             check_random_triples(n_values, 5, rng)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_permutation_maps_reject_short_lengths(self, n):
+        """n < 1 raises ValueError naming it before the report's seed is
+        drawn, so the caller's rng is left as it was."""
+        from spincorr.selftest import check_permutation_maps
+
+        rng = random.Random(7)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            check_permutation_maps(n, 5, rng)
         assert rng.getstate() == state
 
 

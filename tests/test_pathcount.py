@@ -2,7 +2,7 @@ import functools
 import inspect
 import itertools
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +185,24 @@ class TestPhi:
     )
     def test_matches_enumeration(self, q):
         assert phi(q) == phi_by_enumeration(q)
+
+    def test_zero_exactly_where_the_counts_are_invalid(self):
+        """At every point of the rectangles upsilon_full_lattice scans for
+        the selftest's bounds check, phi is 0 exactly where counts8_from_qn8
+        gives None, and elsewhere n! over the factorials of its counts."""
+        points = valid = 0
+        for n, tj1, tj2, tJ, tM in _prior_grid(8, 2):
+            for tm10, tm02 in allowed_m_pairs(tj1, tj2, tM):
+                for tl12, k in itertools.product(range(-n, n + 1), range(min(tj1, tj2) + 1)):
+                    q = QN8(n, tj1, tj2, tm10, tm02, tJ, tl12, k)
+                    counts = counts8_from_qn8(q)
+                    if counts is None:
+                        assert phi(q) == 0, q
+                    else:
+                        assert phi(q) == factorial(n) // prod(map(factorial, counts.values())), q
+                        valid += 1
+                    points += 1
+        assert (points, valid) == (8371, 1376)
 
 
 class TestFFactor:
