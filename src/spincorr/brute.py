@@ -15,7 +15,9 @@ from itertools import compress
 from operator import eq
 
 from .errors import ConstraintError
-from .quantum_numbers import QN8, counts8_from_qn8, qn4_of_corrseq, qn8_from_count_tuple
+from .quantum_numbers import (
+    QN8, counts8_from_qn8, qn4_of_corrseq, qn4_of_packed, qn8_from_count_tuple,
+)
 from .sequences import BitSeq, CorrSeq, apply_map, correlate
 
 # the longest sequences the full-grid binning reaches: layer n holds
@@ -62,32 +64,29 @@ def enumerate_base8_counts(n: int) -> dict[tuple, int]:
     return bins
 
 
-def counts_key_to_qn8(key: tuple) -> QN8:
-    """Interpret a lexicographic 8-tuple of counts as base-8 counts; a key
-    of any other length raises ValueError."""
-    return qn8_from_count_tuple(key)
-
-
 def phi_by_enumeration(q: QN8) -> int:
     """Count order-3 sequences whose measured quantum numbers equal q."""
     if counts8_from_qn8(q) is None:
         return 0
     total = 0
     for key, multiplicity in enumerate_base8_counts(q.n).items():
-        if counts_key_to_qn8(key) == q:
+        if qn8_from_count_tuple(key) == q:
             total += multiplicity
     return total
 
 
-def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> frozenset[str]:
-    """Which of j, m, g, l the map leaves unchanged for this sequence."""
-    before = qn4_of_corrseq(initial)
-    after = qn4_of_corrseq(apply_map(initial, mapping))
-    # a QN4 is the tuple (tj, tm, tg, tl)
+def _conserved(before: tuple, after: tuple) -> frozenset[str]:
+    """Which of j, m, g, l are equal in two QN4s, each the tuple (tj, tm, tg, tl)."""
     return frozenset(compress("jmgl", map(eq, before, after)))
 
 
+def conserved_quantum_numbers(initial: CorrSeq, mapping: CorrSeq) -> frozenset[str]:
+    """Which of j, m, g, l the map leaves unchanged for this sequence."""
+    return _conserved(qn4_of_corrseq(initial), qn4_of_corrseq(apply_map(initial, mapping)))
+
+
 _ALL_CONSERVED = frozenset("jmgl")
+_ROUTES_DIFFER = "packed and correlated measurements differ for {} mapped by {}"
 
 
 # top byte of a 32-bit Mersenne Twister output -> randrange(2) outcome, the
@@ -122,19 +121,16 @@ def random_bits(rng: random.Random, count: int) -> bytes:
     return bits
 
 
-def _random_corrseq(rng: random.Random, n: int) -> CorrSeq:
-    """Two random n-bit columns correlated, drawn first column first."""
-    bits = random_bits(rng, 2 * n)
-    return correlate([BitSeq._trusted(tuple(bits[:n])), BitSeq._trusted(tuple(bits[n:]))])
-
-
 def map_conservation_report(n: int, trials: int, seed: int) -> dict:
     """Sample random maps and permutations, classifying conservation.
 
     Checks both directions of the permutation law: a map conserving all of
     j, m, g, l rearranges the symbol multiset (a row permutation), and a
-    map built from a row permutation conserves all four.  Raises ValueError
-    for n < 1, before any draw.
+    map built from a row permutation conserves all four.  A random order-2
+    sequence is 2n bits, its first column then its second; qn4_of_packed
+    measures the columns read as ints.  The first trial of each direction
+    is also measured through conserved_quantum_numbers, and a difference is
+    a mismatch.  Raises ValueError for n < 1, before any draw.
     """
     if n < 1:
         raise ValueError(f"sequence length n must be >= 1, got {n}")
@@ -146,29 +142,39 @@ def map_conservation_report(n: int, trials: int, seed: int) -> dict:
     # draw: the same stream as one draw per sequence
     bits = random_bits(rng, 4 * n * trials)
     for t in range(0, 4 * n * trials, 4 * n):
-        seqs = [BitSeq._trusted(tuple(bits[i : i + n])) for i in range(t, t + 4 * n, n)]
-        initial = correlate(seqs[:2])
-        mapping = correlate(seqs[2:])
-        conserved = conserved_quantum_numbers(initial, mapping)
+        columns = [bits[i : i + n] for i in range(t, t + 4 * n, n)]
+        x, y, u, v = (int.from_bytes(c, "big") for c in columns)
+        conserved = _conserved(qn4_of_packed(x, y, n), qn4_of_packed(x ^ u, y ^ v, n))
         conserved_tally[conserved] = conserved_tally.get(conserved, 0) + 1
-        if conserved == _ALL_CONSERVED:
-            final = apply_map(initial, mapping)
-            if sorted(final.symbols) != sorted(initial.symbols):
-                mismatches.append(
-                    f"all-conserving map is not a permutation: {initial} -> {final}"
-                )
+        if t == 0 or conserved == _ALL_CONSERVED:
+            initial, mapping = (correlate([BitSeq(c) for c in columns[i : i + 2]]) for i in (0, 2))
+            if t == 0 and conserved_quantum_numbers(initial, mapping) != conserved:
+                mismatches.append(_ROUTES_DIFFER.format(initial, mapping))
+            if conserved == _ALL_CONSERVED:
+                final = apply_map(initial, mapping)
+                if sorted(final.symbols) != sorted(initial.symbols):
+                    mismatches.append(
+                        f"all-conserving map is not a permutation: {initial} -> {final}"
+                    )
 
-    for _ in range(trials):
-        initial = _random_corrseq(rng, n)
-        permuted = list(initial.symbols)
+    for trial in range(trials):
+        b = random_bits(rng, 2 * n)
+        # the sequence's symbols, shuffled as a list of them would be
+        permuted = list(zip(b[:n], b[n:]))
         rng.shuffle(permuted)
-        final = CorrSeq._trusted(2, tuple(permuted))
-        mapping = apply_map(initial, final)
-        conserved = conserved_quantum_numbers(initial, mapping)
+        # applying the map from the sequence to its permutation gives the
+        # permutation, so the packed route measures that directly
+        x, y, px, py = (int.from_bytes(c, "big")
+                        for c in (b[:n], b[n:], *map(bytes, zip(*permuted))))
+        conserved = _conserved(qn4_of_packed(x, y, n), qn4_of_packed(px, py, n))
+        if trial == 0:
+            initial = correlate([BitSeq(b[:n]), BitSeq(b[n:])])
+            mapping = apply_map(initial, CorrSeq(2, tuple(permuted)))
+            if conserved_quantum_numbers(initial, mapping) != conserved:
+                mismatches.append(_ROUTES_DIFFER.format(initial, mapping))
         if conserved != _ALL_CONSERVED:
-            mismatches.append(
-                f"permutation map fails to conserve {set('jmgl') - conserved}"
-            )
+            missing = "".join(sorted(_ALL_CONSERVED - conserved))
+            mismatches.append(f"permutation map fails to conserve {missing}")
 
     return {
         "n": n,

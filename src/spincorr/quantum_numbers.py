@@ -41,8 +41,7 @@ class QN4(Record, namedtuple("QN4", "tj tm tg tl")):
     the four counts nonnegative integers.
 
     An immutable, validated named tuple, so it equals the plain tuple
-    (tj, tm, tg, tl).  _trusted takes the doubled quantum numbers of four
-    nonnegative int counts.
+    (tj, tm, tg, tl).
     """
 
     __slots__ = ()
@@ -99,20 +98,22 @@ def counts4_from_qn4(q: QN4) -> Counts4:
 
 
 def qn4_of_corrseq(c: CorrSeq) -> QN4:
-    """The quantum numbers of an order-2 sequence.  Its counts are
-    nonnegative ints, so the projection rule holds by construction and the
-    QN4 is not validated again."""
+    """The quantum numbers of an order-2 sequence (see _doubled_jmgl); its
+    counts are nonnegative, so the QN4 is valid."""
     if c.order != 2:
         raise ValueError("base-4 quantum numbers need an order-2 sequence")
     counts = count_symbols(c)
-    return QN4._trusted(*_doubled_jmgl(counts[A], counts[B], counts[C], counts[D]))
+    return QN4(*_doubled_jmgl(counts[A], counts[B], counts[C], counts[D]))
 
 
 def qn4_of_packed(x: int, y: int, n: int) -> QN4:
     """qn4_of_corrseq(correlate([s, t])) for n-bit s and t packed into ints
-    x and y, a set bit per 1: B counts their common 1s, C and D the rest."""
+    x and y, a set bit per 1: B counts their common 1s, C and D the rest,
+    and A is n less those three.  Ints with more 1s between them than n
+    bits hold give a negative count, and so raise
+    InvalidQuantumNumberError."""
     b, cx, cy = (x & y).bit_count(), x.bit_count(), y.bit_count()
-    return QN4._trusted(*_doubled_jmgl(n - cx - cy + b, b, cx - b, cy - b))
+    return QN4(*_doubled_jmgl(n - cx - cy + b, b, cx - b, cy - b))
 
 
 def qn8_from_counts(c: Counts8) -> QN8:

@@ -10,11 +10,8 @@ class Record(tuple):
     """Base of a validated, immutable named tuple.
 
     namedtuple's _make (and _replace, which calls it) skips __new__; the
-    _make here calls the record's validating __new__.  _trusted skips those
-    checks, for fields already known valid (BitSeq, CorrSeq and QN4 say in
-    their docstrings what that takes); for values built by this package
-    only.  Priors and QN8 inherit a _trusted that nothing calls: the cost
-    of defining it once.
+    _make here calls the record's validating __new__, so every route to a
+    new record validates it.
     """
 
     __slots__ = ()
@@ -22,7 +19,3 @@ class Record(tuple):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    @classmethod
-    def _trusted(cls, *fields):
-        return tuple.__new__(cls, fields)

@@ -18,7 +18,7 @@ from . import brute
 from .pathcount import Priors, normalize, path_weights, probability_table
 from .quantum_numbers import (
     QN8, A, B, C, D, counts4_from_qn4, f_factor, phi, qn4_from_counts,
-    qn4_of_corrseq, qn4_of_packed,
+    qn4_of_corrseq, qn4_of_packed, qn8_from_count_tuple,
 )
 from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
 from .sequences import BitSeq, correlate
@@ -32,7 +32,7 @@ def check_phi_equivalence(enum_n_max: int) -> list[str]:
     # the bins grow once, and each length is checked as it is reached
     for n, bins in enumerate(layers, 1):
         for key, observed in bins.items():
-            q = brute.counts_key_to_qn8(key)
+            q = qn8_from_count_tuple(key)
             predicted = phi(q)
             if predicted != observed:
                 problems.append(
@@ -94,7 +94,7 @@ def check_random_triples(n_values: list[int], trials: int, rng: random.Random) -
                 lo <= tg12 <= hi,
             )
             if t == 0 or not all(oks):
-                s1, s0, s2 = (BitSeq._trusted(tuple(raw[i : i + n])) for i in (t, t + n, t + 2 * n))
+                s1, s0, s2 = (BitSeq(raw[i : i + n]) for i in (t, t + n, t + 2 * n))
                 where = f"at n={n} for ({s1}, {s0}, {s2})"
                 pairs = ([s1, s0], [s0, s2], [s1, s2])
                 if t == 0 and [qn4_of_corrseq(correlate(p)) for p in pairs] != [q10, q02, q12]:

@@ -38,7 +38,6 @@ class BitSeq(Record, namedtuple("BitSeq", "bits")):
 
     An immutable, validated named tuple of one field, so it equals the plain
     tuple (bits,); len() is the sequence length n, not the field count.
-    _trusted takes bits that are a non-empty tuple of the ints 0 and 1.
     """
 
     __slots__ = ()
@@ -63,8 +62,6 @@ class CorrSeq(Record, namedtuple("CorrSeq", "order symbols")):
 
     An immutable, validated named tuple, so it equals the plain tuple
     (order, symbols); len() is the sequence length n, not the field count.
-    _trusted takes symbols that are a non-empty tuple of order-tuples of
-    the ints 0 and 1.
     """
 
     __slots__ = ()
@@ -94,24 +91,16 @@ def correlate(seqs: Sequence[BitSeq]) -> CorrSeq:
     """Glue d >= 2 equal-length bit sequences column-wise.
 
     Input order is preserved; the operator is non-commutative in its effect
-    on the sign of m.  The columns of validated BitSeqs are valid symbols,
-    so they are validated again only when some input is not a plain BitSeq.
+    on the sign of m.
     """
     if len(seqs) < 2:
         raise ValueError("correlation needs at least 2 sequences")
-    # the columns are taken once, and plain loops check them: a generator
-    # expression costs a frame per call, and a selftest run correlates
-    # about 600 pairs, nearly all in the map check
     columns = tuple(map(_BITS, seqs))
     n = len(columns[0])
     for bits in columns:
         if len(bits) != n:
             raise ValueError("correlation needs sequences of equal length")
-    symbols = tuple(zip(*columns))
-    for s in seqs:
-        if type(s) is not BitSeq:
-            return CorrSeq(order=len(seqs), symbols=symbols)
-    return CorrSeq._trusted(len(seqs), symbols)
+    return CorrSeq(len(seqs), tuple(zip(*columns)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,16 +114,12 @@ def count_symbols(c: CorrSeq) -> dict[Symbol, int]:
     """Occurrence counts over the full 2^d alphabet, keyed in lexicographic
     order; missing symbols are 0.
 
-    Every symbol of a CorrSeq is in alphabet(d), so the last symbol's count
-    is not counted: it is the length less the other 2^d - 1 counts.  An
-    input that is not a plain CorrSeq is validated on entry, by building
-    one from it, as apply_map does.
+    The input is validated on entry, by building a CorrSeq from it, as
+    apply_map does.  Every symbol of a CorrSeq is in alphabet(d), so the
+    last symbol's count is not counted: it is the length less the other
+    2^d - 1 counts.
     """
-    if type(c) is not CorrSeq:
-        c = CorrSeq(c.order, c.symbols)
-    # a plain loop: before Python 3.12 a comprehension costs a frame per
-    # call, and a selftest run counts about 800 sequences, nearly all in
-    # the map check
+    c = CorrSeq(c.order, c.symbols)
     symbols = c.symbols
     keys = alphabet(c.order)
     counts = {}
@@ -149,15 +134,11 @@ def count_symbols(c: CorrSeq) -> dict[Symbol, int]:
 def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:
     """Element-wise addition modulo two; an involution.
 
-    An input that is not a plain CorrSeq is validated on entry, by building
-    one from it.  The two are then XORed as flat bit streams, regrouped into
-    order-tuples; XOR keeps valid bits valid, so the result is not validated
-    again.
+    Both inputs are validated on entry, by building a CorrSeq from each.
+    The two are then XORed as flat bit streams, regrouped into order-tuples.
     """
-    if type(initial) is not CorrSeq:
-        initial = CorrSeq(initial.order, initial.symbols)
-    if type(mapping) is not CorrSeq:
-        mapping = CorrSeq(mapping.order, mapping.symbols)
+    initial = CorrSeq(initial.order, initial.symbols)
+    mapping = CorrSeq(mapping.order, mapping.symbols)
     order = initial.order
     if order != mapping.order:
         raise ValueError("map must have the same order as the sequence")
@@ -165,7 +146,7 @@ def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:
         raise ValueError("map must have the same length as the sequence")
     flat = itertools.chain.from_iterable
     bits = map(xor, flat(initial.symbols), flat(mapping.symbols))
-    return CorrSeq._trusted(order, tuple(zip(*[bits] * order)))
+    return CorrSeq(order, tuple(zip(*[bits] * order)))
 
 
 def render(c: CorrSeq) -> str:

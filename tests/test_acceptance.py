@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from spincorr.brute import counts_key_to_qn8, enumerate_base8_counts, map_conservation_report
+from spincorr.brute import enumerate_base8_counts, map_conservation_report
 from spincorr.cg import cg_squared
 from spincorr.cli import main
 from spincorr.pathcount import Priors, probability_table
-from spincorr.quantum_numbers import phi
+from spincorr.quantum_numbers import phi, qn8_from_count_tuple
 from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import check_normalization, check_random_triples
 from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq
@@ -89,7 +89,7 @@ class TestAcceptance:
             bins = enumerate_base8_counts(n)
             assert sum(bins.values()) == 8**n
             for key, observed in bins.items():
-                if phi(counts_key_to_qn8(key)) != observed:
+                if phi(qn8_from_count_tuple(key)) != observed:
                     mismatches += 1
         assert mismatches == 0
         assert time.perf_counter() - start < 60.0

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -9,14 +13,13 @@ from spincorr.brute import (
     ENUM_N_MAX,
     base8_count_layers,
     conserved_quantum_numbers,
-    counts_key_to_qn8,
     enumerate_base8_counts,
     map_conservation_report,
     phi_by_enumeration,
     random_bits,
 )
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
-from spincorr.quantum_numbers import QN8, SYMBOLS8, phi, qn8_from_counts
+from spincorr.quantum_numbers import QN8, SYMBOLS8, phi, qn8_from_count_tuple, qn8_from_counts
 from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq, apply_map
 
 
@@ -109,29 +112,53 @@ class TestPhiByEnumeration:
         bins = enumerate_base8_counts(n)
         assert sum(bins.values()) == 8**n
         for key, observed in bins.items():
-            assert phi(counts_key_to_qn8(key)) == observed
+            assert phi(qn8_from_count_tuple(key)) == observed
 
     def test_key_reads_as_the_counts_by_symbol(self):
-        """counts_key_to_qn8 gives what qn8_from_counts gives for the same
+        """qn8_from_count_tuple gives what qn8_from_counts gives for the same
         counts keyed by symbol, for all 3,003 keys up to n = 6; both reject
         the empty key (n = 0)."""
         layers = base8_count_layers(6)
         (empty,) = next(layers)
         with pytest.raises(InvalidQuantumNumberError):
-            counts_key_to_qn8(empty)
+            qn8_from_count_tuple(empty)
         with pytest.raises(InvalidQuantumNumberError):
             qn8_from_counts(dict(zip(SYMBOLS8, empty)))
         keys = [key for bins in layers for key in bins]
         assert len(keys) == 3002
         for key in keys:
-            q = counts_key_to_qn8(key)
+            q = qn8_from_count_tuple(key)
             assert type(q) is QN8
             assert q == qn8_from_counts(dict(zip(SYMBOLS8, key))), key
 
     @pytest.mark.parametrize("size", [7, 9])
     def test_key_of_other_than_eight_counts_rejected(self, size):
         with pytest.raises(ValueError):
-            counts_key_to_qn8((1,) * size)
+            qn8_from_count_tuple((1,) * size)
+
+
+SRC = str(Path(brute.__file__).resolve().parents[1])
+
+# the report at n = 8 with every second measurement, the mapped sequence's,
+# reading j, m and l two units high: each permutation map then seems to
+# conserve g only
+MISREAD_SCRIPT = """
+import itertools
+from spincorr import brute, quantum_numbers
+
+calls = itertools.count()
+
+def misread(measure):
+    def measured(*args):
+        tj, tm, tg, tl = measure(*args)
+        shift = 2 * (next(calls) % 2)
+        return tj + shift, tm + shift, tg, tl + shift
+    return measured
+
+brute.qn4_of_packed = misread(quantum_numbers.qn4_of_packed)
+brute.qn4_of_corrseq = misread(quantum_numbers.qn4_of_corrseq)
+print("\\n".join(brute.map_conservation_report(8, 3, 0)["mismatches"]))
+"""
 
 
 class TestMapConservation:
@@ -190,15 +217,39 @@ class TestMapConservation:
         assert list(report["conserved_tally"]) == list(tally)
         assert made[0].getrandbits(64) == next_bits
 
+    def test_first_trials_compare_the_correlate_route(self, monkeypatch):
+        """The first trial of each direction is measured through
+        conserved_quantum_numbers too; with the mapped sequence's l read two
+        units high there, both report a disagreement with the packed route.
+        At seed 10 the first random map conserves l."""
+        calls = itertools.count()
+        measure = brute.qn4_of_corrseq
 
-    def test_random_corrseq_draws_pinned(self):
-        """Column order is invisible in the tally (swapping both columns of
-        a sequence and of its map conserves the same numbers), so the
-        sequences themselves are pinned, as recorded before the bulk draw."""
-        rng = random.Random(5)
-        drawn = [str(brute._random_corrseq(rng, 12)) for _ in range(3)]
-        assert drawn == ["CCACDDADCCAB", "AADDADDACBAD", "CABABBCBBDCB"]
-        assert rng.getrandbits(64) == 13055835522087669495
+        def misread(c):
+            tj, tm, tg, tl = measure(c)
+            # every second call measures the mapped sequence
+            return tj, tm, tg, tl + 2 * (next(calls) % 2)
+
+        monkeypatch.setattr(brute, "qn4_of_corrseq", misread)
+        report = map_conservation_report(8, 5, 10)
+        assert report["mismatches"] == [
+            "packed and correlated measurements differ for ACBDACBC mapped by CDBCBCBB",
+            "packed and correlated measurements differ for ABDACCBB mapped by DBBADAAA",
+        ]
+        assert report["conserved_tally"] == {"l": 3, "-": 2}
+
+    def test_failure_lines_do_not_follow_the_hash_seed(self):
+        """A failing report prints the same lines under every hash seed: the
+        names a permutation map fails to conserve are sorted."""
+        outputs = set()
+        for hash_seed in "012":
+            done = subprocess.run(
+                [sys.executable, "-c", MISREAD_SCRIPT], capture_output=True, text=True,
+                timeout=60, env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed},
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert outputs == {"permutation map fails to conserve jlm\n" * 3}
 
 
 class TestRandomBits:

@@ -53,18 +53,6 @@ def test_all_lists_the_exports():
     assert len(spincorr.__all__) == 12
 
 
-def test_trusted_constructors_are_not_exported():
-    # BitSeq/CorrSeq/QN4._trusted skip validation, so they stay private:
-    # reachable on their classes only
-    from spincorr.quantum_numbers import QN4
-    from spincorr.sequences import BitSeq, CorrSeq
-
-    for record in (BitSeq, CorrSeq, QN4):
-        assert hasattr(record, "_trusted")
-    assert not [name for name in spincorr.__all__ if name.startswith("_")]
-    assert "_trusted" not in dir(spincorr)
-
-
 def test_star_import_and_dir_give_every_export():
     namespace = {}
     exec("from spincorr import *", namespace)
@@ -123,11 +111,10 @@ def test_projection_rule_is_raised_in_selection_only():
 
 
 def test_record_construction_is_defined_in_records_only():
-    # records.Record is the one home of _make and _trusted; the five
-    # records inherit them instead of restating them
+    # records.Record is the one home of _make; the five records inherit it
+    # instead of restating it
     sources = sorted((ROOT / "src" / "spincorr").glob("*.py"))
-    for definition in ("def _make", "def _trusted"):
-        assert [p.name for p in sources if definition in p.read_text()] == ["records.py"]
+    assert [p.name for p in sources if "def _make" in p.read_text()] == ["records.py"]
 
 
 def package_imports(path):

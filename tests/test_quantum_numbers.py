@@ -83,7 +83,7 @@ class TestQN4:
 
     @pytest.mark.parametrize("negative", "ABCD")
     def test_negative_count_rejected(self, negative):
-        # qn4_of_corrseq trusts its counts; qn4_from_counts keeps validating
+        # QN4 validates every record, so a negative count raises
         c = {sym: -1 if alias == negative else 3 for alias, sym in zip("ABCD", (A, B, C, D))}
         with pytest.raises(InvalidQuantumNumberError):
             qn4_from_counts(c)
@@ -95,7 +95,6 @@ class TestQN4:
                 c = CorrSeq(2, symbols)
                 q = qn4_of_corrseq(c)
                 assert q == qn4_from_counts(Counter(c.symbols)), symbols
-                # built through QN4._trusted, and equal to a validated QN4
                 assert type(q) is QN4
                 assert q == QN4(*q) and hash(q) == hash(QN4(*q))
 
@@ -109,6 +108,11 @@ class TestQN4:
                                   int.from_bytes(bytes(b), "big"), n)
                 assert q == qn4_of_corrseq(correlate([BitSeq(a), BitSeq(b)])), (a, b)
                 assert type(q) is QN4
+
+    def test_of_packed_more_ones_than_bits_rejected(self):
+        # three 1s in two bits leave A = -1: not a record of any pair
+        with pytest.raises(InvalidQuantumNumberError):
+            qn4_of_packed(0b111, 0, 2)
 
 
 class TestQN8:

@@ -236,8 +236,9 @@ def assert_same_as_validated(c):
 
 
 class TestTrustedResults:
-    """correlate and apply_map skip validating what they build from plain
-    BitSeq/CorrSeq inputs; the results must equal the validated ones."""
+    """correlate and apply_map build their results with CorrSeq, from
+    inputs of any type; each result equals the CorrSeq validated again from
+    its own fields."""
 
     @given(pair=bitseq_pairs)
     def test_correlate_order_two(self, pair):
@@ -279,12 +280,6 @@ class TestTrustedResults:
         assert_same_as_validated(mapped)
         assert mapped.symbols == ((0, 1) * 4 + (0,), (0, 1) * 4 + (0,))
 
-    def test_trusted_constructors_equal_validated(self):
-        assert BitSeq._trusted((1, 0, 1)) == bitseq("101")
-        assert hash(BitSeq._trusted((1, 0, 1))) == hash(bitseq("101"))
-        assert str(BitSeq._trusted((1, 0, 1))) == "101"
-        assert_same_as_validated(CorrSeq._trusted(2, ((1, 0), (0, 0))))
-
     def test_other_inputs_still_validated(self):
         with pytest.raises(ValueError, match=SYMBOL_MESSAGE):
             correlate([bitseq("10"), FakeSeq(bits=(0, 2))])
@@ -302,8 +297,8 @@ class TestTrustedResults:
         assert apply_map(corr4("B"), FakeSeq(order=2, symbols=((True, 0.0),))) == corr4("D")
 
     def test_counted_inputs_validated(self):
-        # count_symbols derives its last count, and qn4_of_corrseq trusts the
-        # counts, so a symbol outside the alphabet must raise, not be counted
+        # count_symbols derives its last count, so a symbol outside the
+        # alphabet must raise, not be counted
         from spincorr.quantum_numbers import qn4_of_corrseq
 
         for symbols in (((0, 2),), ((1, 0, 1),), ((0, 0), (1,))):
