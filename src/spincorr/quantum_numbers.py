@@ -98,20 +98,22 @@ def counts4_from_qn4(q: QN4) -> Counts4:
 
 
 def qn4_of_corrseq(c: CorrSeq) -> QN4:
-    """The quantum numbers of an order-2 sequence (see _doubled_jmgl); its
-    counts are nonnegative, so the QN4 is valid."""
+    """The quantum numbers of an order-2 sequence's counts."""
     if c.order != 2:
         raise ValueError("base-4 quantum numbers need an order-2 sequence")
-    counts = count_symbols(c)
-    return QN4(*_doubled_jmgl(counts[A], counts[B], counts[C], counts[D]))
+    return qn4_from_counts(count_symbols(c))
 
 
 def qn4_of_packed(x: int, y: int, n: int) -> QN4:
-    """qn4_of_corrseq(correlate([s, t])) for n-bit s and t packed into ints
-    x and y, a set bit per 1: B counts their common 1s, C and D the rest,
-    and A is n less those three.  Ints with more 1s between them than n
-    bits hold give a negative count, and so raise
-    InvalidQuantumNumberError."""
+    """qn4_of_corrseq(correlate([s, t])) for n-bit s and t packed into
+    nonnegative ints x and y: set bits mark the 1s, and bit i of s sits at
+    the same position in x as bit i of t in y.  The callers read one byte
+    per bit, so bit i sits at bit 8(n - 1 - i).  B counts their common 1s,
+    C and D the rest, and A is n less those three.  A negative int raises
+    ValueError; ints with more 1s between them than n bits hold give a
+    negative count, and so raise InvalidQuantumNumberError."""
+    if x < 0 or y < 0:
+        raise ValueError(f"packed sequences must be nonnegative ints, got {x}, {y}")
     b, cx, cy = (x & y).bit_count(), x.bit_count(), y.bit_count()
     return QN4(*_doubled_jmgl(n - cx - cy + b, b, cx - b, cy - b))
 
@@ -140,27 +142,23 @@ def qn8_from_count_tuple(counts: Iterable[int]) -> QN8:
     )
 
 
-# the symbols of _halved_counts' counts, in the order it gives them
-_DOUBLED_SYMBOLS = ((0, 1, 0), (1, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 1),
-                    (1, 1, 1), (0, 0, 0))
-
-
 def _halved_counts(q: QN8) -> tuple[int, ...] | None:
-    """The eight counts of q in the order of _DOUBLED_SYMBOLS, or None if
-    any would be negative or non-integral."""
+    """The eight counts of q in the order of SYMBOLS8, as
+    qn8_from_count_tuple reads them, or None if any would be negative or
+    non-integral."""
     n, tj10, tj02, tm10, tm02, tj12, tl12, k = q
     tk = 2 * k
-    # most lattice points fail here, so they are tested before any count
-    # is halved
+    # every count is doubled, and tested, before any is halved; most
+    # lattice points fail the l12 parity at the first, (0, 0, 0)
     doubled = (
-        tk,  # (0, 1, 0)
-        tj10 + tj02 - tj12 - tk,  # (1, 0, 1)
-        tm10 - tj02 + tj12 + tk,  # (1, 0, 0)
-        tj10 - tm10 - tk,  # (0, 1, 1)
-        tj02 + tm02 - tk,  # (1, 1, 0)
-        tj12 + tk - tm02 - tj10,  # (0, 0, 1)
-        n - tl12 - tj10 - tj02 + tk,  # (1, 1, 1)
         n - tj12 + tl12 - tk,  # (0, 0, 0)
+        tj12 + tk - tm02 - tj10,  # (0, 0, 1)
+        tk,  # (0, 1, 0)
+        tj10 - tm10 - tk,  # (0, 1, 1)
+        tm10 - tj02 + tj12 + tk,  # (1, 0, 0)
+        tj10 + tj02 - tj12 - tk,  # (1, 0, 1)
+        tj02 + tm02 - tk,  # (1, 1, 0)
+        n - tl12 - tj10 - tj02 + tk,  # (1, 1, 1)
     )
     for tv in doubled:
         if tv < 0 or tv & 1:
@@ -172,7 +170,7 @@ def counts8_from_qn8(q: QN8) -> Counts8 | None:
     """Recover the eight counts, or None if any would be negative or
     non-integral (the summation engine skips such lattice points)."""
     counts = _halved_counts(q)
-    return None if counts is None else dict(zip(_DOUBLED_SYMBOLS, counts))
+    return None if counts is None else dict(zip(SYMBOLS8, counts))
 
 
 def phi(q: QN8) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import sys
 import time
-from collections.abc import Callable
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -135,7 +134,7 @@ def _prior_grid(n_max: int, tj_max: int):
             for tJ in j12_range(tj1, tj2):
                 for tM in range(-tJ, tJ + 1, 2):
                     for n in range(max(1, tj1 + tj2), n_max + 1):
-                        yield n, tj1, tj2, tJ, tM
+                        yield Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
 
 
 def check_normalization(n_max: int, tj_max: int) -> list[str]:
@@ -143,8 +142,7 @@ def check_normalization(n_max: int, tj_max: int) -> list[str]:
     the Toeplitz form in pathcount._moments' proof makes it; a zero or
     negative one is reported."""
     problems = []
-    for n, tj1, tj2, tJ, tM in _prior_grid(n_max, tj_max):
-        priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
+    for priors in _prior_grid(n_max, tj_max):
         weights = path_weights(priors)
         total = sum(p for _, _, p in normalize(weights))
         if total != 1:
@@ -185,9 +183,8 @@ def check_bounds_equivalence(n_max: int, tj_max: int) -> list[str]:
     """probability_table, the closed form the CLI prints, equals the raw
     lattice sum of every allowed pair divided by their sum, row by row."""
     problems = []
-    for n, tj1, tj2, tJ, tM in _prior_grid(n_max, tj_max):
-        priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
-        pairs = allowed_m_pairs(tj1, tj2, tM)
+    for priors in _prior_grid(n_max, tj_max):
+        pairs = allowed_m_pairs(priors.tj10, priors.tj02, priors.tm12)
         lattice = [upsilon_full_lattice(priors, tm10, tm02) for tm10, tm02 in pairs]
         norm = sum(lattice)
         slow = [(tm10, tm02, w / norm) for (tm10, tm02), w in zip(pairs, lattice)]
@@ -201,20 +198,6 @@ def check_bounds_equivalence(n_max: int, tj_max: int) -> list[str]:
     return problems
 
 
-Check = tuple[str, Callable[[], list[str]]]
-# a check's name, its problems and its time in milliseconds
-Result = tuple[str, list[str], float]
-
-
-def _run_timed(checks: list[Check]) -> list[Result]:
-    results = []
-    for name, fn in checks:
-        start = time.perf_counter()
-        problems = fn()
-        results.append((name, problems, (time.perf_counter() - start) * 1e3))
-    return results
-
-
 def run_selftest(seed: int = 0) -> bool:
     """Run every check; print the seed and one line per check to stdout,
     then each check's time to stderr.
@@ -225,14 +208,19 @@ def run_selftest(seed: int = 0) -> bool:
     check is done.
     """
     rng = random.Random(seed)
-    results = _run_timed([
+    # each check's name, its problems and its time in milliseconds
+    results = []
+    for name, check in [
         ("phi_by_enumeration equivalence", lambda: check_phi_equivalence(6)),
         ("random-triple selection rules", lambda: check_random_triples([4, 16, 64], 1000, rng)),
         ("count/quantum-number round trips", lambda: check_roundtrips(1000, rng)),
         ("permutation map conservation", lambda: check_permutation_maps(32, 200, rng)),
         ("exact normalization", lambda: check_normalization(12, 2)),
         ("summation bounds equivalence", lambda: check_bounds_equivalence(8, 2)),
-    ])
+    ]:
+        start = time.perf_counter()
+        problems = check()
+        results.append((name, problems, (time.perf_counter() - start) * 1e3))
 
     print(f"seed: {seed}")
     all_ok = True

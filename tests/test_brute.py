@@ -20,6 +20,7 @@ from spincorr.brute import (
 )
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
 from spincorr.quantum_numbers import QN8, SYMBOLS8, phi, qn8_from_count_tuple, qn8_from_counts
+from spincorr.selftest import check_phi_equivalence
 from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq, apply_map
 
 
@@ -113,6 +114,10 @@ class TestPhiByEnumeration:
         assert sum(bins.values()) == 8**n
         for key, observed in bins.items():
             assert phi(qn8_from_count_tuple(key)) == observed
+
+    def test_selftest_check_passes_at_n8(self):
+        # the selftest runs this check to n = 6 only
+        assert check_phi_equivalence(8) == []
 
     def test_key_reads_as_the_counts_by_symbol(self):
         """qn8_from_count_tuple gives what qn8_from_counts gives for the same

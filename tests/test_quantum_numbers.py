@@ -5,17 +5,20 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from spincorr.brute import base8_count_layers
 from spincorr.errors import InvalidQuantumNumberError
 from spincorr.quantum_numbers import (
     QN4,
     QN8,
     SYMBOLS8,
+    _halved_counts,
     counts4_from_qn4,
     counts8_from_qn8,
     pair_counts4,
     qn4_from_counts,
     qn4_of_corrseq,
     qn4_of_packed,
+    qn8_from_count_tuple,
     qn8_from_counts,
 )
 from spincorr.selection import check_projection
@@ -114,6 +117,12 @@ class TestQN4:
         with pytest.raises(InvalidQuantumNumberError):
             qn4_of_packed(0b111, 0, 2)
 
+    @pytest.mark.parametrize("x, y", [(-2, 0), (0, -1), (-1, -1)])
+    def test_of_packed_negative_int_rejected(self, x, y):
+        # bit_count counts the 1s of |x|: -2 read as one 1 in four bits
+        with pytest.raises(ValueError):
+            qn4_of_packed(x, y, 4)
+
 
 class TestQN8:
     def test_of_corrseq_matches_counter(self):
@@ -152,6 +161,18 @@ class TestQN8:
             (0, 1, 0): 0, (1, 0, 1): 1, (1, 0, 0): 1, (0, 1, 1): 0,
             (1, 1, 0): 0, (0, 0, 1): 1, (1, 1, 1): 0, (0, 0, 0): 3,
         }
+
+    def test_halved_counts_invert_count_tuple(self):
+        """_halved_counts gives the counts back in the SYMBOLS8 order that
+        qn8_from_count_tuple reads, for every count vector with
+        1 <= n <= 8 (12,869 keys)."""
+        layers = base8_count_layers(8)
+        next(layers)  # n = 0, which no QN8 describes
+        for bins in layers:
+            for key in bins:
+                q = qn8_from_count_tuple(key)
+                assert _halved_counts(q) == key
+                assert counts8_from_qn8(q) == dict(zip(SYMBOLS8, key))
 
     def test_excessive_k_is_invalid(self):
         # 011-count = j10 - m10 - k goes negative

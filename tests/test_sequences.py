@@ -235,7 +235,7 @@ def assert_same_as_validated(c):
     assert all(type(b) is int for sym in c.symbols for b in sym)
 
 
-class TestTrustedResults:
+class TestResultsAreValidated:
     """correlate and apply_map build their results with CorrSeq, from
     inputs of any type; each result equals the CorrSeq validated again from
     its own fields."""
