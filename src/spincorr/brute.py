@@ -15,9 +15,7 @@ from itertools import compress
 from operator import eq
 
 from .errors import ConstraintError
-from .quantum_numbers import (
-    QN8, counts8_from_qn8, qn4_of_corrseq, qn4_of_packed, qn8_from_count_tuple,
-)
+from .quantum_numbers import QN8, counts8_from_qn8, qn4_of_corrseq, qn4_of_packed, qn8_from_counts
 from .sequences import BitSeq, CorrSeq, apply_map, correlate
 
 # the longest sequences the full-grid binning reaches: layer n holds
@@ -30,10 +28,10 @@ def base8_count_layers(n_max: int) -> Iterator[dict[tuple, int]]:
     n = 0, 1, ..., n_max in turn: layer n is yielded before layer n + 1 is
     built, so one pass serves every length up to n_max.
 
-    Keys are 8-tuples of counts in lexicographic symbol order.  Every
-    length-n sequence is one length-(n-1) prefix followed by one symbol, so
-    the bins grow by extending prefixes: each bin's multiplicity passes to
-    the 8 bins holding one more of a symbol.  Only additions are used, no
+    Keys are 8-tuples of counts in alphabet(3) order, as qn8_from_counts
+    reads them.  Every length-n sequence is one length-(n-1) prefix followed
+    by one symbol, so the bins grow by extending prefixes: each bin's
+    multiplicity passes to the 8 bins holding one more of a symbol.  Only additions are used, no
     factorial.  An n_max above ENUM_N_MAX raises ConstraintError before the
     first layer is built.
     """
@@ -70,7 +68,7 @@ def phi_by_enumeration(q: QN8) -> int:
         return 0
     total = 0
     for key, multiplicity in enumerate_base8_counts(q.n).items():
-        if qn8_from_count_tuple(key) == q:
+        if qn8_from_counts(key) == q:
             total += multiplicity
     return total
 

@@ -15,19 +15,13 @@ them into fractions or text is left to halfint and cli, at the edges.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial
 
 from .errors import ConstraintError, InvalidQuantumNumberError
 from .records import Record
 from .selection import require_projection
-from .sequences import PAIR_OF_ALIAS, BitSeq, CorrSeq, alphabet, count_symbols
-
-Counts4 = dict[tuple[int, int], int]
-Counts8 = dict[tuple[int, int, int], int]
-
-A, B, C, D = (PAIR_OF_ALIAS[alias] for alias in "ABCD")
+from .sequences import BitSeq, CorrSeq, alphabet, count_symbols
 
 SYMBOLS8 = alphabet(3)
 
@@ -75,26 +69,29 @@ class QN8(Record, namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
         return tuple.__new__(cls, (n, tj10, tj02, tm10, tm02, tj12, tl12, k))
 
 
-def _doubled_jmgl(a: int, b: int, cc: int, d: int) -> tuple[int, int, int, int]:
-    """j=(C+D)/2, m=(C-D)/2, g=(A+B)/2, l=(A-B)/2 in doubled form, from the
-    A, B, C, D counts."""
-    return cc + d, cc - d, a + b, a - b
+def qn4_from_counts(counts: tuple[int, ...]) -> QN4:
+    """The quantum numbers j=(C+D)/2, m=(C-D)/2, g=(A+B)/2, l=(A-B)/2, in
+    doubled form, of base-4 counts.
+
+    Counts of every order are tuples in the order of alphabet(d); for a
+    pair, alphabet(2) is 00, 01, 10, 11, so the counts read A, D, C, B.
+    Counts that break the projection rule, such as a negative one, raise
+    InvalidQuantumNumberError; any number of counts but four raises
+    ValueError.
+    """
+    a, d, c, b = counts
+    return QN4(c + d, c - d, a + b, a - b)
 
 
-def qn4_from_counts(c: Counts4) -> QN4:
-    """The quantum numbers of base-4 counts (see _doubled_jmgl); counts that
-    break the projection rule, such as a negative one, raise."""
-    return QN4(*_doubled_jmgl(c.get(A, 0), c.get(B, 0), c.get(C, 0), c.get(D, 0)))
-
-
-def counts4_from_qn4(q: QN4) -> Counts4:
-    """Invert the defining relations: C=j+m, D=j-m, A=g+l, B=g-l."""
-    return {
-        A: (q.tg + q.tl) // 2,
-        B: (q.tg - q.tl) // 2,
-        C: (q.tj + q.tm) // 2,
-        D: (q.tj - q.tm) // 2,
-    }
+def counts4_from_qn4(q: QN4) -> tuple[int, int, int, int]:
+    """Invert the defining relations: A=g+l, D=j-m, C=j+m, B=g-l, in the
+    order qn4_from_counts reads."""
+    return (
+        (q.tg + q.tl) // 2,
+        (q.tj - q.tm) // 2,
+        (q.tj + q.tm) // 2,
+        (q.tg - q.tl) // 2,
+    )
 
 
 def qn4_of_corrseq(c: CorrSeq) -> QN4:
@@ -115,15 +112,10 @@ def qn4_of_packed(x: int, y: int, n: int) -> QN4:
     if x < 0 or y < 0:
         raise ValueError(f"packed sequences must be nonnegative ints, got {x}, {y}")
     b, cx, cy = (x & y).bit_count(), x.bit_count(), y.bit_count()
-    return QN4(*_doubled_jmgl(n - cx - cy + b, b, cx - b, cy - b))
+    return qn4_from_counts((n - cx - cy + b, cy - b, cx - b, b))
 
 
-def qn8_from_counts(c: Counts8) -> QN8:
-    """Evaluate the eight quantum numbers from base-8 counts."""
-    return qn8_from_count_tuple(map(c.get, SYMBOLS8, (0,) * 8))
-
-
-def qn8_from_count_tuple(counts: Iterable[int]) -> QN8:
+def qn8_from_counts(counts: tuple[int, ...]) -> QN8:
     """The eight quantum numbers of base-8 counts given in the order of
     SYMBOLS8; any other number of counts raises ValueError."""
     # t<x1 x0 x2> is the count of that symbol
@@ -142,10 +134,9 @@ def qn8_from_count_tuple(counts: Iterable[int]) -> QN8:
     )
 
 
-def _halved_counts(q: QN8) -> tuple[int, ...] | None:
-    """The eight counts of q in the order of SYMBOLS8, as
-    qn8_from_count_tuple reads them, or None if any would be negative or
-    non-integral."""
+def counts8_from_qn8(q: QN8) -> tuple[int, ...] | None:
+    """The eight counts of q in the order of SYMBOLS8, as qn8_from_counts
+    reads them, or None if any would be negative or non-integral."""
     n, tj10, tj02, tm10, tm02, tj12, tl12, k = q
     tk = 2 * k
     # every count is doubled, and tested, before any is halved; most
@@ -166,13 +157,6 @@ def _halved_counts(q: QN8) -> tuple[int, ...] | None:
     return tuple([tv >> 1 for tv in doubled])
 
 
-def counts8_from_qn8(q: QN8) -> Counts8 | None:
-    """Recover the eight counts, or None if any would be negative or
-    non-integral (the summation engine skips such lattice points)."""
-    counts = _halved_counts(q)
-    return None if counts is None else dict(zip(SYMBOLS8, counts))
-
-
 def phi(q: QN8) -> int:
     """Number of base-8 sequences carrying exactly q's quantum numbers:
     the multinomial n! over the factorials of all eight counts, or 0 when
@@ -180,7 +164,7 @@ def phi(q: QN8) -> int:
 
     An oracle: the closed-form path count in pathcount never calls it.
     """
-    counts = _halved_counts(q)
+    counts = counts8_from_qn8(q)
     if counts is None:
         return 0
     result = factorial(q.n)
@@ -203,16 +187,18 @@ def f_factor(n: int, tj: int, tm: int) -> Fraction:
     return Fraction(factorial(c) * factorial(d) * factorial(n - c - d), factorial(n))
 
 
-def pair_counts4(c8: Counts8, pair: str) -> Counts4:
-    """Project base-8 counts onto one of the index pairs "10", "02", "12"."""
+def pair_counts4(c8: tuple[int, ...], pair: str) -> tuple[int, int, int, int]:
+    """Project base-8 counts onto one of the index pairs "10", "02", "12";
+    any number of counts but eight raises ValueError."""
     try:
         i, j = PAIRS[pair]
     except KeyError:
         raise ValueError(f"unknown index pair {pair!r}") from None
-    out: Counts4 = {A: 0, B: 0, C: 0, D: 0}
-    for sym, cnt in c8.items():
-        out[sym[i], sym[j]] += cnt
-    return out
+    out = [0, 0, 0, 0]
+    for sym, cnt in zip(SYMBOLS8, c8, strict=True):
+        # the pair symbol (x, y) is number 2x + y of alphabet(2)
+        out[2 * sym[i] + sym[j]] += cnt
+    return tuple(out)
 
 
 def j12_bounds_constrained(q10: QN4, q02: QN4) -> tuple[int, int]:
@@ -257,16 +243,15 @@ def j12_bounds_constrained(q10: QN4, q02: QN4) -> tuple[int, int]:
     """
     if q10.n != q02.n:
         raise ConstraintError(f"relations disagree on n: {q10.n}, {q02.n}")
-    c10 = counts4_from_qn4(q10)
-    c02 = counts4_from_qn4(q02)
-    if c10[A] + c10[C] != c02[A] + c02[D]:
+    a10, d10, c10, b10 = counts4_from_qn4(q10)
+    a02, d02, c02, b02 = counts4_from_qn4(q02)
+    if a10 + c10 != a02 + d02:
         raise ConstraintError(
-            f"relations disagree on the reference's zeros: "
-            f"{c10[A] + c10[C]}, {c02[A] + c02[D]}"
+            f"relations disagree on the reference's zeros: {a10 + c10}, {a02 + d02}"
         )
     tj_sum = q10.tj + q02.tj
-    tj_min = tj_sum - 2 * min(c10[C], c02[D]) - 2 * min(c10[D], c02[C])
-    tj_max = tj_sum - 2 * max(0, c10[C] - c02[A]) - 2 * max(0, c10[D] - c02[B])
+    tj_min = tj_sum - 2 * min(c10, d02) - 2 * min(d10, c02)
+    tj_max = tj_sum - 2 * max(0, c10 - a02) - 2 * max(0, d10 - b02)
     return tj_min, tj_max
 
 
@@ -283,12 +268,13 @@ def witness_triple(q10: QN4, q02: QN4, tj12: int) -> tuple[BitSeq, BitSeq, BitSe
     lo, hi = j12_bounds_constrained(q10, q02)
     if not lo <= tj12 <= hi or (tj12 - lo) % 2:
         return None
-    c10, c02 = counts4_from_qn4(q10), counts4_from_qn4(q02)
+    a10, d10, c10, b10 = counts4_from_qn4(q10)
+    a02, d02, c02, _ = counts4_from_qn4(q02)
     w = (q10.tj + q02.tj - tj12) // 2
-    u = max(0, c10[C] - c02[A], w - min(c10[D], c02[C]))
+    u = max(0, c10 - a02, w - min(d10, c02))
     v = w - u
     # t000, t001, t100, t101, then t010, t011, t110, t111, as in the proof
-    counts = (c10[A] - c02[D] + u, c02[D] - u, c10[C] - u, u,
-              v, c10[D] - v, c02[C] - v, c10[B] - c02[C] + v)
+    counts = (a10 - d02 + u, d02 - u, c10 - u, u,
+              v, d10 - v, c02 - v, b10 - c02 + v)
     symbols = [sym for sym, t in zip(_BLOCKS, counts) for _ in range(t)]
     return tuple(BitSeq(tuple(sym[i] for sym in symbols)) for i in range(3))

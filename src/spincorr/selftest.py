@@ -16,8 +16,8 @@ from itertools import zip_longest
 from . import brute
 from .pathcount import Priors, normalize, path_weights, probability_table
 from .quantum_numbers import (
-    QN8, A, B, C, D, counts4_from_qn4, f_factor, phi, qn4_from_counts,
-    qn4_of_corrseq, qn4_of_packed, qn8_from_count_tuple,
+    QN8, counts4_from_qn4, f_factor, phi, qn4_from_counts, qn4_of_corrseq,
+    qn4_of_packed, qn8_from_counts,
 )
 from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
 from .sequences import BitSeq, correlate
@@ -31,7 +31,7 @@ def check_phi_equivalence(enum_n_max: int) -> list[str]:
     # the bins grow once, and each length is checked as it is reached
     for n, bins in enumerate(layers, 1):
         for key, observed in bins.items():
-            q = qn8_from_count_tuple(key)
+            q = qn8_from_counts(key)
             predicted = phi(q)
             if predicted != observed:
                 problems.append(
@@ -108,12 +108,10 @@ def check_roundtrips(trials: int, rng: random.Random) -> list[str]:
     problems = []
     for _ in range(trials):
         n = rng.randrange(1, 40)
-        c4 = {}
-        remaining = n
-        for sym in (A, B, C):
-            c4[sym] = rng.randint(0, remaining)
-            remaining -= c4[sym]
-        c4[D] = remaining
+        a = rng.randint(0, n)
+        b = rng.randint(0, n - a)
+        c = rng.randint(0, n - a - b)
+        c4 = (a, n - a - b - c, c, b)
         if counts4_from_qn4(qn4_from_counts(c4)) != c4:
             problems.append(f"base-4 round trip failed for {c4}")
     return problems

@@ -110,9 +110,9 @@ def alphabet(d: int) -> tuple[Symbol, ...]:
     return tuple(itertools.product((0, 1), repeat=d))
 
 
-def count_symbols(c: CorrSeq) -> dict[Symbol, int]:
-    """Occurrence counts over the full 2^d alphabet, keyed in lexicographic
-    order; missing symbols are 0.
+def count_symbols(c: CorrSeq) -> tuple[int, ...]:
+    """Occurrence counts of the 2^d symbols of alphabet(d), as a tuple in
+    that order; missing symbols are 0.
 
     The input is validated on entry, by building a CorrSeq from it, as
     apply_map does.  Every symbol of a CorrSeq is in alphabet(d), so the
@@ -121,14 +121,9 @@ def count_symbols(c: CorrSeq) -> dict[Symbol, int]:
     """
     c = CorrSeq(c.order, c.symbols)
     symbols = c.symbols
-    keys = alphabet(c.order)
-    counts = {}
-    rest = len(symbols)
-    for sym in keys[:-1]:
-        k = counts[sym] = symbols.count(sym)
-        rest -= k
-    counts[keys[-1]] = rest
-    return counts
+    counts = [symbols.count(sym) for sym in alphabet(c.order)[:-1]]
+    counts.append(len(symbols) - sum(counts))
+    return tuple(counts)
 
 
 def apply_map(initial: CorrSeq, mapping: CorrSeq) -> CorrSeq:

@@ -11,7 +11,7 @@ from spincorr.brute import enumerate_base8_counts, map_conservation_report
 from spincorr.cg import cg_squared
 from spincorr.cli import main
 from spincorr.pathcount import Priors, probability_table
-from spincorr.quantum_numbers import phi, qn8_from_count_tuple
+from spincorr.quantum_numbers import phi, qn8_from_counts
 from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import check_normalization, check_random_triples
 from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq
@@ -89,7 +89,7 @@ class TestAcceptance:
             bins = enumerate_base8_counts(n)
             assert sum(bins.values()) == 8**n
             for key, observed in bins.items():
-                if phi(qn8_from_count_tuple(key)) != observed:
+                if phi(qn8_from_counts(key)) != observed:
                     mismatches += 1
         assert mismatches == 0
         assert time.perf_counter() - start < 60.0

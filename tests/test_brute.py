@@ -19,9 +19,9 @@ from spincorr.brute import (
     random_bits,
 )
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
-from spincorr.quantum_numbers import QN8, SYMBOLS8, phi, qn8_from_count_tuple, qn8_from_counts
+from spincorr.quantum_numbers import QN8, SYMBOLS8, phi, qn8_from_counts
 from spincorr.selftest import check_phi_equivalence
-from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq, apply_map
+from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq, apply_map, count_symbols
 
 
 def corr4(text):
@@ -113,33 +113,32 @@ class TestPhiByEnumeration:
         bins = enumerate_base8_counts(n)
         assert sum(bins.values()) == 8**n
         for key, observed in bins.items():
-            assert phi(qn8_from_count_tuple(key)) == observed
+            assert phi(qn8_from_counts(key)) == observed
 
     def test_selftest_check_passes_at_n8(self):
         # the selftest runs this check to n = 6 only
         assert check_phi_equivalence(8) == []
 
     def test_key_reads_as_the_counts_by_symbol(self):
-        """qn8_from_count_tuple gives what qn8_from_counts gives for the same
-        counts keyed by symbol, for all 3,003 keys up to n = 6; both reject
-        the empty key (n = 0)."""
+        """Each key is the count tuple count_symbols gives for a sequence
+        holding that many of each symbol, and qn8_from_counts reads it as a
+        QN8, for all 3,003 keys up to n = 6; the empty key (n = 0) is
+        rejected."""
         layers = base8_count_layers(6)
         (empty,) = next(layers)
         with pytest.raises(InvalidQuantumNumberError):
-            qn8_from_count_tuple(empty)
-        with pytest.raises(InvalidQuantumNumberError):
-            qn8_from_counts(dict(zip(SYMBOLS8, empty)))
+            qn8_from_counts(empty)
         keys = [key for bins in layers for key in bins]
         assert len(keys) == 3002
         for key in keys:
-            q = qn8_from_count_tuple(key)
-            assert type(q) is QN8
-            assert q == qn8_from_counts(dict(zip(SYMBOLS8, key))), key
+            symbols = [sym for sym, t in zip(SYMBOLS8, key) for _ in range(t)]
+            assert count_symbols(CorrSeq(3, tuple(symbols))) == key
+            assert type(qn8_from_counts(key)) is QN8
 
     @pytest.mark.parametrize("size", [7, 9])
     def test_key_of_other_than_eight_counts_rejected(self, size):
         with pytest.raises(ValueError):
-            qn8_from_count_tuple((1,) * size)
+            qn8_from_counts((1,) * size)
 
 
 SRC = str(Path(brute.__file__).resolve().parents[1])

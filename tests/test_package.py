@@ -24,9 +24,10 @@ EXPORTS = {
 # the oracles, imported from their own modules only
 ORACLES = {
     "quantum_numbers": ["QN4", "QN8", "counts4_from_qn4", "counts8_from_qn8", "f_factor",
-                        "j12_bounds_constrained", "phi", "qn4_from_counts", "qn4_of_corrseq",
-                        "qn4_of_packed", "qn8_from_count_tuple", "qn8_from_counts"],
-    "sequences": ["BitSeq", "CorrSeq", "apply_map", "correlate", "count_symbols"],
+                        "j12_bounds_constrained", "pair_counts4", "phi", "qn4_from_counts",
+                        "qn4_of_corrseq", "qn4_of_packed", "qn8_from_counts", "witness_triple"],
+    "sequences": ["BitSeq", "CorrSeq", "alphabet", "apply_map", "correlate", "count_symbols",
+                  "render"],
 }
 MODULE_OF = {name: module for module, names in {**EXPORTS, **ORACLES}.items() for name in names}
 # the package modules each source file imports, at any depth of its syntax

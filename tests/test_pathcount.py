@@ -199,7 +199,7 @@ class TestPhi:
                     if counts is None:
                         assert phi(q) == 0, q
                     else:
-                        assert phi(q) == factorial(n) // prod(map(factorial, counts.values())), q
+                        assert phi(q) == factorial(n) // prod(map(factorial, counts)), q
                         valid += 1
                     points += 1
         assert (points, valid) == (8371, 1376)
@@ -273,7 +273,9 @@ class TestUpsilon:
 
     def test_matches_full_lattice_sum(self):
         # every prior with j1, j2 <= 3/2 up to n = 8, plus j <= 1 at n = 33
-        # and 64, where G is large and the lattice spans many l12 values
+        # and 64, where G is large and the lattice spans many l12 values,
+        # and high j: j1 = j2 = J = 10 at n = 2j, just above it and at 4j,
+        # and j1 = j2 = J = 25 at n = 2j
         grid = [
             (n, tj1, tj2, tJ, tM)
             for tj1 in range(4)
@@ -287,6 +289,8 @@ class TestUpsilon:
             for n in (33, 64)
             for tj1, tj2, tJ, tM in ((2, 2, 2, 0), (2, 2, 0, 0), (2, 1, 1, -1), (1, 1, 2, 0))
         ]
+        grid += [(n, 20, 20, 20, tM) for n in (40, 45, 80) for tM in (0, 2, 10, 20)]
+        grid += [(100, 50, 50, 50, 0)]
         for n, tj1, tj2, tJ, tM in grid:
             priors = Priors(n=n, tj10=tj1, tj02=tj2, tj12=tJ, tm12=tM)
             pairs = allowed_m_pairs(tj1, tj2, tM)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -11,35 +12,56 @@ from spincorr.quantum_numbers import (
     QN4,
     QN8,
     SYMBOLS8,
-    _halved_counts,
     counts4_from_qn4,
     counts8_from_qn8,
     pair_counts4,
     qn4_from_counts,
     qn4_of_corrseq,
     qn4_of_packed,
-    qn8_from_count_tuple,
     qn8_from_counts,
 )
 from spincorr.selection import check_projection
-from spincorr.sequences import BitSeq, CorrSeq, correlate, count_symbols
+from spincorr.sequences import ALIAS_OF_PAIR, BitSeq, CorrSeq, alphabet, correlate, count_symbols
 
 A, B, C, D = (0, 0), (1, 1), (1, 0), (0, 1)
 
 
 def counts4(a, b, c, d):
-    return {A: a, B: b, C: c, D: d}
+    """The counts of A, B, C and D, in the alphabet(2) order qn4_from_counts reads."""
+    return (a, d, c, b)
+
+
+def counter_counts(c):
+    """count_symbols(c) by another route: a Counter read in alphabet order."""
+    counter = Counter(c.symbols)
+    return tuple(counter[sym] for sym in alphabet(c.order))
 
 
 class TestAlphabet:
     def test_symbols_come_from_sequences(self):
-        from spincorr import quantum_numbers
-        from spincorr.sequences import PAIR_OF_ALIAS, alphabet
-
         assert SYMBOLS8 == alphabet(3)
-        assert [getattr(quantum_numbers, alias) for alias in "ABCD"] == [
-            PAIR_OF_ALIAS[alias] for alias in "ABCD"
-        ]
+        assert [ALIAS_OF_PAIR[s] for s in alphabet(2)] == list("ADCB")
+
+
+class TestCountLength:
+    """A count tuple of the wrong length is rejected, not read in part."""
+
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    @pytest.mark.parametrize(
+        "convert",
+        [qn4_from_counts, qn8_from_counts, functools.partial(pair_counts4, pair="10")],
+        ids=["qn4_from_counts", "qn8_from_counts", "pair_counts4"],
+    )
+    def test_wrong_length_rejected(self, convert, size):
+        with pytest.raises(ValueError):
+            convert((1,) * size)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_count_symbols_gives_one_count_per_symbol(self, order):
+        c = CorrSeq(order, alphabet(order)[1:2] * 3)
+        counts = count_symbols(c)
+        assert len(counts) == 2**order
+        assert counts == counter_counts(c)
 
 
 class TestQN4:
@@ -87,7 +109,7 @@ class TestQN4:
     @pytest.mark.parametrize("negative", "ABCD")
     def test_negative_count_rejected(self, negative):
         # QN4 validates every record, so a negative count raises
-        c = {sym: -1 if alias == negative else 3 for alias, sym in zip("ABCD", (A, B, C, D))}
+        c = counts4(*(-1 if alias == negative else 3 for alias in "ABCD"))
         with pytest.raises(InvalidQuantumNumberError):
             qn4_from_counts(c)
 
@@ -97,7 +119,7 @@ class TestQN4:
             for symbols in itertools.product((A, B, C, D), repeat=n):
                 c = CorrSeq(2, symbols)
                 q = qn4_of_corrseq(c)
-                assert q == qn4_from_counts(Counter(c.symbols)), symbols
+                assert q == qn4_from_counts(counter_counts(c)), symbols
                 assert type(q) is QN4
                 assert q == QN4(*q) and hash(q) == hash(QN4(*q))
 
@@ -132,47 +154,42 @@ class TestQN8:
             for symbols in itertools.product(SYMBOLS8, repeat=n):
                 c = CorrSeq(3, symbols)
                 q = qn8_from_counts(count_symbols(c))
-                assert q == qn8_from_counts(Counter(c.symbols)), symbols
+                assert q == qn8_from_counts(counter_counts(c)), symbols
 
     def test_non_overlapping_brackets(self):
-        q = qn8_from_counts({(1, 1, 0): 1, (1, 1, 1): 1, (1, 0, 0): 1, (0, 1, 1): 1})
+        # one each of 011, 100, 110 and 111
+        q = qn8_from_counts((0, 0, 0, 1, 1, 0, 1, 1))
         assert (q.tj10, q.tj02, q.tj12, q.n) == (2, 1, 3, 4)
 
     def test_overlapping_brackets(self):
-        q = qn8_from_counts({(0, 1, 0): 1, (1, 1, 1): 2, (1, 0, 0): 1})
+        # one 010, one 100 and two 111
+        q = qn8_from_counts((0, 0, 1, 0, 1, 0, 0, 2))
         assert (q.tj10, q.tj02, q.tj12, q.n) == (2, 1, 1, 4)
 
     def test_three_identical_sequences(self):
         n = 5
-        q = qn8_from_counts({(0, 0, 0): n})
+        q = qn8_from_counts((n,) + (0,) * 7)
         assert (q.tj10, q.tj02, q.tm10, q.tm02, q.tj12, q.k) == (0, 0, 0, 0, 0, 0)
         assert q.tl12 == n and q.n == n
 
     def test_counts_recovery_centered(self):
         q = QN8(n=6, tj10=2, tj02=2, tm10=0, tm02=0, tj12=2, tl12=0, k=0)
-        assert counts8_from_qn8(q) == {
-            (0, 1, 0): 0, (1, 0, 1): 1, (1, 0, 0): 0, (0, 1, 1): 1,
-            (1, 1, 0): 1, (0, 0, 1): 0, (1, 1, 1): 1, (0, 0, 0): 2,
-        }
+        # 000, 001, 010, 011, 100, 101, 110, 111
+        assert counts8_from_qn8(q) == (2, 0, 0, 1, 0, 1, 1, 1)
 
     def test_counts_recovery_stretched_pair(self):
         q = QN8(n=6, tj10=2, tj02=2, tm10=2, tm02=-2, tj12=2, tl12=2, k=0)
-        assert counts8_from_qn8(q) == {
-            (0, 1, 0): 0, (1, 0, 1): 1, (1, 0, 0): 1, (0, 1, 1): 0,
-            (1, 1, 0): 0, (0, 0, 1): 1, (1, 1, 1): 0, (0, 0, 0): 3,
-        }
+        assert counts8_from_qn8(q) == (3, 1, 0, 0, 1, 1, 0, 0)
 
-    def test_halved_counts_invert_count_tuple(self):
-        """_halved_counts gives the counts back in the SYMBOLS8 order that
-        qn8_from_count_tuple reads, for every count vector with
-        1 <= n <= 8 (12,869 keys)."""
+    def test_counts8_from_qn8_inverts_qn8_from_counts(self):
+        """counts8_from_qn8 gives the counts back in the SYMBOLS8 order that
+        qn8_from_counts reads, for every count vector with 1 <= n <= 8
+        (12,869 keys)."""
         layers = base8_count_layers(8)
         next(layers)  # n = 0, which no QN8 describes
         for bins in layers:
             for key in bins:
-                q = qn8_from_count_tuple(key)
-                assert _halved_counts(q) == key
-                assert counts8_from_qn8(q) == dict(zip(SYMBOLS8, key))
+                assert counts8_from_qn8(qn8_from_counts(key)) == key
 
     def test_excessive_k_is_invalid(self):
         # 011-count = j10 - m10 - k goes negative
@@ -198,7 +215,7 @@ class TestQN8:
                 counts = counts8_from_qn8(q)
                 assert (counts is None) == invalid, q
                 if counts is not None:
-                    assert sorted(2 * c for c in counts.values()) == sorted(doubled)
+                    assert sorted(2 * c for c in counts) == sorted(doubled)
                 seen.add(invalid)
         assert seen == {True, False}
 
@@ -217,20 +234,17 @@ class TestQN8:
             )
             counts = counts8_from_qn8(q)
             if counts is not None:
-                assert sum(counts.values()) == q.n
+                assert sum(counts) == q.n
 
     def test_round_trip_from_counts(self):
         rng = random.Random(3)
         for _ in range(200):
-            counts = {}
+            counts = []
             remaining = rng.randrange(1, 20)
-            syms = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-            for sym in syms[:-1]:
-                counts[sym] = rng.randint(0, remaining)
-                remaining -= counts[sym]
-            counts[syms[-1]] = remaining
-            if sum(counts.values()) == 0:
-                continue
+            for _ in SYMBOLS8[:-1]:
+                counts.append(rng.randint(0, remaining))
+                remaining -= counts[-1]
+            counts = (*counts, remaining)
             assert counts8_from_qn8(qn8_from_counts(counts)) == counts
 
 

@@ -11,8 +11,8 @@ from spincorr.cli import _spins
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
 from spincorr.pathcount import Priors
 from spincorr.quantum_numbers import (
-    QN4, SYMBOLS8, f_factor, j12_bounds_constrained, pair_counts4, qn4_from_counts,
-    qn4_of_corrseq, witness_triple,
+    QN4, f_factor, j12_bounds_constrained, pair_counts4, qn4_from_counts, qn4_of_corrseq,
+    witness_triple,
 )
 from spincorr.selection import (
     allowed_m_pairs,
@@ -181,9 +181,8 @@ class TestConstrainedBounds:
         realized = {}
         for n in range(1, 9):
             for key in enumerate_base8_counts(n):
-                c8 = dict(zip(SYMBOLS8, key, strict=True))
                 q10, q02, q12 = (
-                    qn4_from_counts(pair_counts4(c8, pair)) for pair in ("10", "02", "12")
+                    qn4_from_counts(pair_counts4(key, pair)) for pair in ("10", "02", "12")
                 )
                 realized.setdefault((q10, q02), set()).add(q12.tj)
         for (q10, q02), observed in realized.items():
@@ -218,8 +217,7 @@ def realized_pairs(n_max):
     next(layers)  # the empty layer: a bit sequence has length n >= 1
     for bins in layers:
         for key in bins:
-            c8 = dict(zip(SYMBOLS8, key, strict=True))
-            pairs.add(tuple(qn4_from_counts(pair_counts4(c8, pair)) for pair in ("10", "02")))
+            pairs.add(tuple(qn4_from_counts(pair_counts4(key, pair)) for pair in ("10", "02")))
     return pairs
 
 
