@@ -15,7 +15,7 @@ from itertools import compress
 from operator import eq
 
 from .errors import ConstraintError
-from .quantum_numbers import QN8, counts8_from_qn8, qn4_of_corrseq, qn4_of_packed, qn8_from_counts
+from .quantum_numbers import counts8_from_qn8, qn4_of_corrseq, qn4_of_packed, qn8_from_counts
 from .sequences import BitSeq, CorrSeq, apply_map, correlate
 
 # the longest sequences the full-grid binning reaches: layer n holds
@@ -62,12 +62,13 @@ def enumerate_base8_counts(n: int) -> dict[tuple, int]:
     return bins
 
 
-def phi_by_enumeration(q: QN8) -> int:
-    """Count order-3 sequences whose measured quantum numbers equal q."""
+def phi_by_enumeration(q: tuple[int, ...]) -> int:
+    """Count order-3 sequences whose eight measured quantum numbers equal
+    q, an 8-tuple in the order qn8_from_counts gives."""
     if counts8_from_qn8(q) is None:
         return 0
     total = 0
-    for key, multiplicity in enumerate_base8_counts(q.n).items():
+    for key, multiplicity in enumerate_base8_counts(q[0]).items():
         if qn8_from_counts(key) == q:
             total += multiplicity
     return total

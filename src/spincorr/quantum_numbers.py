@@ -8,8 +8,9 @@ so a base-8 symbol reads (x1, x0, x2) and the (10), (02), (12) pairs are the
 first two, last two and outer two bits respectively.
 
 All quantum numbers are doubled integers (see halfint); k, being itself a
-count, is a plain integer.  QN4 and QN8 hold those integers only: turning
-them into fractions or text is left to halfint and cli, at the edges.
+count, is a plain integer.  QN4 and the eight-number set, a plain 8-tuple
+in the order above, hold those integers only: turning them into fractions
+or text is left to halfint and cli, at the edges.
 """
 
 from __future__ import annotations
@@ -48,25 +49,6 @@ class QN4(Record, namedtuple("QN4", "tj tm tg tl")):
     @property
     def n(self) -> int:
         return self.tj + self.tg
-
-
-class QN8(Record, namedtuple("QN8", "n tj10 tj02 tm10 tm02 tj12 tl12 k")):
-    """The complete eight-number set labelling a base-8 sequence: an
-    immutable, validated named tuple, so it equals the plain tuple of its
-    eight fields.
-
-    Validity (all Table-style counts nonnegative and integral) is not a
-    construction invariant: summation lattices deliberately visit invalid
-    points, which counts8_from_qn8 flags by returning None.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, tj10: int, tj02: int, tm10: int, tm02: int,
-                tj12: int, tl12: int, k: int):
-        if n < 1:
-            raise InvalidQuantumNumberError("n must be positive")
-        return tuple.__new__(cls, (n, tj10, tj02, tm10, tm02, tj12, tl12, k))
 
 
 def qn4_from_counts(counts: tuple[int, ...]) -> QN4:
@@ -115,14 +97,13 @@ def qn4_of_packed(x: int, y: int, n: int) -> QN4:
     return qn4_from_counts((n - cx - cy + b, cy - b, cx - b, b))
 
 
-def qn8_from_counts(counts: tuple[int, ...]) -> QN8:
-    """The eight quantum numbers of base-8 counts given in the order of
-    SYMBOLS8; any other number of counts raises ValueError."""
+def qn8_from_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """The eight quantum numbers (n, tj10, tj02, tm10, tm02, tj12, tl12, k)
+    of base-8 counts given in the order of SYMBOLS8, as a plain tuple; any
+    other number of counts raises ValueError."""
     # t<x1 x0 x2> is the count of that symbol
     t000, t001, t010, t011, t100, t101, t110, t111 = counts
-    # positional: a keyword call costs about twice as much, and the phi
-    # check evaluates thousands of count vectors
-    return QN8(
+    return (
         t000 + t001 + t010 + t011 + t100 + t101 + t110 + t111,  # n
         t100 + t101 + t011 + t010,  # tj10
         t110 + t101 + t001 + t010,  # tj02
@@ -134,9 +115,11 @@ def qn8_from_counts(counts: tuple[int, ...]) -> QN8:
     )
 
 
-def counts8_from_qn8(q: QN8) -> tuple[int, ...] | None:
-    """The eight counts of q in the order of SYMBOLS8, as qn8_from_counts
-    reads them, or None if any would be negative or non-integral."""
+def counts8_from_qn8(q: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The eight counts of the eight-number set q, in the order of SYMBOLS8
+    as qn8_from_counts reads them, or None if any would be negative or
+    non-integral (a negative n makes some negative).  Any other number of
+    quantum numbers raises ValueError."""
     n, tj10, tj02, tm10, tm02, tj12, tl12, k = q
     tk = 2 * k
     # every count is doubled, and tested, before any is halved; most
@@ -157,17 +140,17 @@ def counts8_from_qn8(q: QN8) -> tuple[int, ...] | None:
     return tuple([tv >> 1 for tv in doubled])
 
 
-def phi(q: QN8) -> int:
-    """Number of base-8 sequences carrying exactly q's quantum numbers:
-    the multinomial n! over the factorials of all eight counts, or 0 when
-    the counts are invalid.
+def phi(q: tuple[int, ...]) -> int:
+    """Number of base-8 sequences carrying exactly the eight quantum numbers
+    q: the multinomial n! over the factorials of all eight counts, or 0 when
+    the counts are invalid.  The empty sequence is the one with n = 0.
 
     An oracle: the closed-form path count in pathcount never calls it.
     """
     counts = counts8_from_qn8(q)
     if counts is None:
         return 0
-    result = factorial(q.n)
+    result = factorial(q[0])
     for c in counts:
         result //= factorial(c)
     return result

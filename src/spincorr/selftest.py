@@ -16,7 +16,7 @@ from itertools import zip_longest
 from . import brute
 from .pathcount import Priors, normalize, path_weights, probability_table
 from .quantum_numbers import (
-    QN8, counts4_from_qn4, f_factor, phi, qn4_from_counts, qn4_of_corrseq,
+    counts4_from_qn4, f_factor, phi, qn4_from_counts, qn4_of_corrseq,
     qn4_of_packed, qn8_from_counts,
 )
 from .selection import allowed_m_pairs, check_triangle, g12_range, j12_range
@@ -26,10 +26,9 @@ from .sequences import BitSeq, correlate
 def check_phi_equivalence(enum_n_max: int) -> list[str]:
     """phi agrees with one-pass enumeration over the full grid at small n."""
     problems = []
-    layers = brute.base8_count_layers(enum_n_max)
-    next(layers)  # n = 0: the empty sequence, which no QN8 describes
-    # the bins grow once, and each length is checked as it is reached
-    for n, bins in enumerate(layers, 1):
+    # the bins grow once, and each length is checked as it is reached,
+    # n = 0 (the empty sequence) first
+    for n, bins in enumerate(brute.base8_count_layers(enum_n_max)):
         for key, observed in bins.items():
             q = qn8_from_counts(key)
             predicted = phi(q)
@@ -171,7 +170,7 @@ def upsilon_full_lattice(priors: Priors, tm10: int, tm02: int) -> Fraction:
     for tl12 in range(-n, n + 1):
         inner = 0
         for k in range(k_hi + 1):
-            p = phi(QN8(n, tj10, tj02, tm10, tm02, tj12, tl12, k))
+            p = phi((n, tj10, tj02, tm10, tm02, tj12, tl12, k))
             inner += -p if k & 1 else p
         total += inner * inner
     return f_factor(n, tj10, tm10) * f_factor(n, tj02, tm02) * total

@@ -18,8 +18,8 @@ from spincorr.brute import (
     phi_by_enumeration,
     random_bits,
 )
-from spincorr.errors import ConstraintError, InvalidQuantumNumberError
-from spincorr.quantum_numbers import QN8, SYMBOLS8, phi, qn8_from_counts
+from spincorr.errors import ConstraintError
+from spincorr.quantum_numbers import SYMBOLS8, counts8_from_qn8, phi, qn8_from_counts
 from spincorr.selftest import check_phi_equivalence
 from spincorr.sequences import PAIR_OF_ALIAS, CorrSeq, apply_map, count_symbols
 
@@ -90,20 +90,21 @@ class TestEnumerateBase8Counts:
 
 
 class TestPhiByEnumeration:
+    # each set is (n, tj10, tj02, tm10, tm02, tj12, tl12, k), doubled but for n and k
     def test_worked_centered_case(self):
-        q = QN8(n=6, tj10=2, tj02=2, tm10=0, tm02=0, tj12=2, tl12=-2, k=0)
+        q = (6, 2, 2, 0, 0, 2, -2, 0)
         assert phi_by_enumeration(q) == 360
 
     def test_invalid_quantum_numbers(self):
-        q = QN8(n=4, tj10=2, tj02=2, tm10=2, tm02=-2, tj12=2, tl12=2, k=3)
+        q = (4, 2, 2, 2, -2, 2, 2, 3)
         assert phi_by_enumeration(q) == 0
 
     def test_single_symbol(self):
-        q = QN8(n=1, tj10=0, tj02=0, tm10=0, tm02=0, tj12=0, tl12=1, k=0)
+        q = (1, 0, 0, 0, 0, 0, 1, 0)
         assert phi_by_enumeration(q) == 1
 
     def test_budget(self):
-        q = QN8(n=13, tj10=0, tj02=0, tm10=0, tm02=0, tj12=0, tl12=13, k=0)
+        q = (13, 0, 0, 0, 0, 0, 13, 0)
         assert phi(q) == 1
         with pytest.raises(ConstraintError):
             phi_by_enumeration(q)
@@ -120,25 +121,41 @@ class TestPhiByEnumeration:
         assert check_phi_equivalence(8) == []
 
     def test_key_reads_as_the_counts_by_symbol(self):
-        """Each key is the count tuple count_symbols gives for a sequence
-        holding that many of each symbol, and qn8_from_counts reads it as a
-        QN8, for all 3,003 keys up to n = 6; the empty key (n = 0) is
-        rejected."""
-        layers = base8_count_layers(6)
-        (empty,) = next(layers)
-        with pytest.raises(InvalidQuantumNumberError):
-            qn8_from_counts(empty)
-        keys = [key for bins in layers for key in bins]
-        assert len(keys) == 3002
+        """qn8_from_counts reads each of the 3,003 keys up to n = 6 as a
+        plain 8-tuple, the empty key (n = 0) included, and every other key
+        is the count tuple count_symbols gives for a sequence holding that
+        many of each symbol."""
+        keys = [key for bins in base8_count_layers(6) for key in bins]
+        assert len(keys) == 3003
         for key in keys:
-            symbols = [sym for sym, t in zip(SYMBOLS8, key) for _ in range(t)]
-            assert count_symbols(CorrSeq(3, tuple(symbols))) == key
-            assert type(qn8_from_counts(key)) is QN8
+            assert type(qn8_from_counts(key)) is tuple
+            if any(key):  # a CorrSeq is never empty
+                symbols = [sym for sym, t in zip(SYMBOLS8, key) for _ in range(t)]
+                assert count_symbols(CorrSeq(3, tuple(symbols))) == key
 
     @pytest.mark.parametrize("size", [7, 9])
     def test_key_of_other_than_eight_counts_rejected(self, size):
         with pytest.raises(ValueError):
             qn8_from_counts((1,) * size)
+        # so is a set of other than eight quantum numbers
+        with pytest.raises(ValueError):
+            phi((0,) * size)
+        with pytest.raises(ValueError):
+            phi_by_enumeration((0,) * size)
+
+    def test_empty_sequence(self):
+        # n = 0: the one empty sequence, layer 0 of base8_count_layers
+        empty = (0,) * 8
+        assert qn8_from_counts(empty) == empty
+        assert phi(empty) == phi_by_enumeration(empty) == 1
+
+    @pytest.mark.parametrize(
+        "q", [(-1, 0, 0, 0, 0, 0, -1, 0), (-2, 0, 0, 0, 0, 0, 0, 0), (-4, 2, 2, 0, 0, 2, 0, 0)]
+    )
+    def test_negative_n_counts_no_sequence(self, q):
+        # the eight counts sum to n, so at least one is negative
+        assert counts8_from_qn8(q) is None
+        assert phi(q) == phi_by_enumeration(q) == 0
 
 
 SRC = str(Path(brute.__file__).resolve().parents[1])

@@ -12,7 +12,7 @@ from spincorr.brute import phi_by_enumeration
 from spincorr.cg import cg_squared
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
 from spincorr.pathcount import Priors, path_weights, probability_table
-from spincorr.quantum_numbers import QN8, counts8_from_qn8, f_factor, phi
+from spincorr.quantum_numbers import counts8_from_qn8, f_factor, phi
 from spincorr.selection import allowed_m_pairs, j12_range
 from spincorr.selftest import _prior_grid, check_normalization, upsilon_full_lattice
 
@@ -29,14 +29,14 @@ def literal_full_lattice(priors, tm10, tm02):
             sign = -1 if (k_b - k_a) % 2 else 1
             for tl12 in range(-priors.n, priors.n + 1):
                 pa = phi(
-                    QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
-                        priors.tj12, tl12, k_a)
+                    (priors.n, priors.tj10, priors.tj02, tm10, tm02,
+                     priors.tj12, tl12, k_a)
                 )
                 if pa == 0:
                     continue
                 pb = phi(
-                    QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
-                        priors.tj12, tl12, k_b)
+                    (priors.n, priors.tj10, priors.tj02, tm10, tm02,
+                     priors.tj12, tl12, k_b)
                 )
                 total += sign * pa * pb
     return f_a * f_b * total
@@ -89,11 +89,6 @@ def small_priors(n_max=8, tj_max=3):
         for tM in range(-tJ, tJ + 1, 2)
         for n in range(max(1, tj1 + tj2), n_max + 1)
     ]
-
-
-def qn8(n, j10, j02, m10, m02, j12, l12, k):
-    """Doubled-integer shorthand for the worked cases."""
-    return QN8(n=n, tj10=j10, tj02=j02, tm10=m10, tm02=m02, tj12=j12, tl12=l12, k=k)
 
 
 class TestPriors:
@@ -161,26 +156,27 @@ class TestPriors:
 
 
 class TestPhi:
+    # each set is (n, tj10, tj02, tm10, tm02, tj12, tl12, k), doubled but for n and k
     def test_centered_case(self):
         # n=6, j's = 1, m's = 0, l12 = -1, k = 0
-        assert phi(qn8(6, 2, 2, 0, 0, 2, -2, 0)) == 360
+        assert phi((6, 2, 2, 0, 0, 2, -2, 0)) == 360
 
     def test_opposite_m_case(self):
-        assert phi(qn8(6, 2, 2, 2, -2, 2, 2, 0)) == 120
+        assert phi((6, 2, 2, 2, -2, 2, 2, 0)) == 120
 
     def test_single_symbol(self):
-        assert phi(qn8(5, 0, 0, 0, 0, 0, 5, 0)) == 1
+        assert phi((5, 0, 0, 0, 0, 0, 5, 0)) == 1
 
     def test_invalid_is_zero(self):
-        assert phi(qn8(6, 2, 2, 2, -2, 2, 2, 1)) == 0
+        assert phi((6, 2, 2, 2, -2, 2, 2, 1)) == 0
 
     @pytest.mark.parametrize(
         "q",
         [
-            qn8(6, 2, 2, 0, 0, 2, -2, 0),
-            qn8(6, 2, 2, 2, -2, 2, 2, 0),
-            qn8(4, 2, 1, 1, -1, 1, 0, 0),
-            qn8(3, 0, 0, 0, 0, 0, 3, 0),
+            (6, 2, 2, 0, 0, 2, -2, 0),
+            (6, 2, 2, 2, -2, 2, 2, 0),
+            (4, 2, 1, 1, -1, 1, 0, 0),
+            (3, 0, 0, 0, 0, 0, 3, 0),
         ],
     )
     def test_matches_enumeration(self, q):
@@ -194,7 +190,7 @@ class TestPhi:
         for n, tj1, tj2, tJ, tM in _prior_grid(8, 2):
             for tm10, tm02 in allowed_m_pairs(tj1, tj2, tM):
                 for tl12, k in itertools.product(range(-n, n + 1), range(min(tj1, tj2) + 1)):
-                    q = QN8(n, tj1, tj2, tm10, tm02, tJ, tl12, k)
+                    q = (n, tj1, tj2, tm10, tm02, tJ, tl12, k)
                     counts = counts8_from_qn8(q)
                     if counts is None:
                         assert phi(q) == 0, q
@@ -233,8 +229,7 @@ def brute_k_range(tj10, tm10, tj02, tm02, tj12, n=40):
     valid = set()
     for k in range(0, n):
         for tl12 in range(-n, n + 1):
-            q = QN8(n=n, tj10=tj10, tj02=tj02, tm10=tm10, tm02=tm02,
-                    tj12=tj12, tl12=tl12, k=k)
+            q = (n, tj10, tj02, tm10, tm02, tj12, tl12, k)
             if counts8_from_qn8(q) is not None:
                 valid.add(k)
                 break
@@ -452,6 +447,36 @@ class TestLimitIsCGSquared:
                         priors += 1
                         rows += len(leading)
         assert (priors, rows) == (784, 2408)
+
+    @pytest.mark.parametrize(
+        "tj1, tj2, tJ, tM, rows",
+        [
+            (100, 100, 100, 0, 101),
+            (100, 99, 51, 7, 97),
+            (101, 97, 60, -10, 95),
+            (100, 60, 140, 20, 61),
+            (99, 101, 198, 0, 100),
+            (100, 100, 0, 0, 101),
+            (400, 400, 400, 0, 401),
+        ],
+    )
+    def test_signed_amplitude_squared_is_cg_squared_at_high_j(self, tj1, tj2, tJ, tM, rows):
+        """The G^x coefficient of each row (see _moments) is pre S0^2, with
+        pre = c10! d10! c02! d02! and S0 the signed limit amplitude; over
+        the rows it normalizes to cg_squared, Racah's z-sum, which shares no
+        code with this binomial sum."""
+        pairs = allowed_m_pairs(tj1, tj2, tM)
+        assert len(pairs) == rows
+        f = factorial
+        leading = [
+            f((tj1 + tm1) // 2) * f((tj1 - tm1) // 2) * f((tj2 + tm2) // 2) * f((tj2 - tm2) // 2)
+            * TestLimitCarriesCGSigns.amplitude(tj1, tj2, tJ, tm1, tm2) ** 2
+            for tm1, tm2 in pairs
+        ]
+        total = sum(leading)
+        assert [Fraction(c, total) for c in leading] == [
+            cg_squared(tj1, tj2, tm1, tm2, tJ, tM) for tm1, tm2 in pairs
+        ]
 
 
 class TestLimitCarriesCGSigns:
@@ -753,8 +778,8 @@ class TestPositivity:
                 tl12 = 2 * k_min - priors.n + priors.tj12
                 nonzero = [
                     k for k in range(priors.n + 1)
-                    if phi(QN8(priors.n, priors.tj10, priors.tj02, tm10, tm02,
-                               priors.tj12, tl12, k))
+                    if phi((priors.n, priors.tj10, priors.tj02, tm10, tm02,
+                            priors.tj12, tl12, k))
                 ]
                 assert nonzero == [k_min], (priors, tm10, tm02)
 

@@ -10,7 +10,6 @@ from spincorr.brute import base8_count_layers
 from spincorr.errors import InvalidQuantumNumberError
 from spincorr.quantum_numbers import (
     QN4,
-    QN8,
     SYMBOLS8,
     counts4_from_qn4,
     counts8_from_qn8,
@@ -29,6 +28,11 @@ A, B, C, D = (0, 0), (1, 1), (1, 0), (0, 1)
 def counts4(a, b, c, d):
     """The counts of A, B, C and D, in the alphabet(2) order qn4_from_counts reads."""
     return (a, d, c, b)
+
+
+def qn8(n, tj10, tj02, tm10, tm02, tj12, tl12, k):
+    """The eight-number set, a plain tuple, named field by field."""
+    return (n, tj10, tj02, tm10, tm02, tj12, tl12, k)
 
 
 def counter_counts(c):
@@ -147,9 +151,12 @@ class TestQN4:
 
 
 class TestQN8:
+    """The eight-number set (n, tj10, tj02, tm10, tm02, tj12, tl12, k) of
+    base-8 counts, a plain 8-tuple."""
+
     def test_of_corrseq_matches_counter(self):
         """Every order-3 sequence with n <= 3: count_symbols, which derives
-        the last count, gives the QN8 that a Counter gives."""
+        the last count, gives the eight numbers that a Counter gives."""
         for n in range(1, 4):
             for symbols in itertools.product(SYMBOLS8, repeat=n):
                 c = CorrSeq(3, symbols)
@@ -158,42 +165,40 @@ class TestQN8:
 
     def test_non_overlapping_brackets(self):
         # one each of 011, 100, 110 and 111
-        q = qn8_from_counts((0, 0, 0, 1, 1, 0, 1, 1))
-        assert (q.tj10, q.tj02, q.tj12, q.n) == (2, 1, 3, 4)
+        n, tj10, tj02, _, _, tj12, _, _ = qn8_from_counts((0, 0, 0, 1, 1, 0, 1, 1))
+        assert (tj10, tj02, tj12, n) == (2, 1, 3, 4)
 
     def test_overlapping_brackets(self):
         # one 010, one 100 and two 111
-        q = qn8_from_counts((0, 0, 1, 0, 1, 0, 0, 2))
-        assert (q.tj10, q.tj02, q.tj12, q.n) == (2, 1, 1, 4)
+        n, tj10, tj02, _, _, tj12, _, _ = qn8_from_counts((0, 0, 1, 0, 1, 0, 0, 2))
+        assert (tj10, tj02, tj12, n) == (2, 1, 1, 4)
 
     def test_three_identical_sequences(self):
         n = 5
-        q = qn8_from_counts((n,) + (0,) * 7)
-        assert (q.tj10, q.tj02, q.tm10, q.tm02, q.tj12, q.k) == (0, 0, 0, 0, 0, 0)
-        assert q.tl12 == n and q.n == n
+        assert qn8_from_counts((n,) + (0,) * 7) == qn8(
+            n=n, tj10=0, tj02=0, tm10=0, tm02=0, tj12=0, tl12=n, k=0)
 
     def test_counts_recovery_centered(self):
-        q = QN8(n=6, tj10=2, tj02=2, tm10=0, tm02=0, tj12=2, tl12=0, k=0)
+        q = qn8(n=6, tj10=2, tj02=2, tm10=0, tm02=0, tj12=2, tl12=0, k=0)
         # 000, 001, 010, 011, 100, 101, 110, 111
         assert counts8_from_qn8(q) == (2, 0, 0, 1, 0, 1, 1, 1)
 
     def test_counts_recovery_stretched_pair(self):
-        q = QN8(n=6, tj10=2, tj02=2, tm10=2, tm02=-2, tj12=2, tl12=2, k=0)
+        q = qn8(n=6, tj10=2, tj02=2, tm10=2, tm02=-2, tj12=2, tl12=2, k=0)
         assert counts8_from_qn8(q) == (3, 1, 0, 0, 1, 1, 0, 0)
 
     def test_counts8_from_qn8_inverts_qn8_from_counts(self):
         """counts8_from_qn8 gives the counts back in the SYMBOLS8 order that
-        qn8_from_counts reads, for every count vector with 1 <= n <= 8
-        (12,869 keys)."""
-        layers = base8_count_layers(8)
-        next(layers)  # n = 0, which no QN8 describes
-        for bins in layers:
-            for key in bins:
-                assert counts8_from_qn8(qn8_from_counts(key)) == key
+        qn8_from_counts reads, for every count vector with 0 <= n <= 8
+        (12,870 keys)."""
+        keys = [key for bins in base8_count_layers(8) for key in bins]
+        assert len(keys) == 12870
+        for key in keys:
+            assert counts8_from_qn8(qn8_from_counts(key)) == key
 
     def test_excessive_k_is_invalid(self):
         # 011-count = j10 - m10 - k goes negative
-        q = QN8(n=6, tj10=2, tj02=2, tm10=2, tm02=-2, tj12=2, tl12=2, k=1)
+        q = qn8(n=6, tj10=2, tj02=2, tm10=2, tm02=-2, tj12=2, tl12=2, k=1)
         assert counts8_from_qn8(q) is None
 
     def test_invalid_exactly_when_a_doubled_count_is_negative_or_odd(self):
@@ -204,7 +209,7 @@ class TestQN8:
             range(0, 3), range(0, 3), range(-2, 3), range(-2, 3), range(-4, 5), range(0, 2)
         ):
             for tj12 in range(0, 4):
-                q = QN8(4, tj10, tj02, tm10, tm02, tj12, tl12, k)
+                q = (4, tj10, tj02, tm10, tm02, tj12, tl12, k)
                 tk = 2 * k
                 doubled = (
                     tk, tj10 + tj02 - tj12 - tk, tm10 - tj02 + tj12 + tk,
@@ -222,7 +227,7 @@ class TestQN8:
     def test_table_sum_is_n_identically(self):
         rng = random.Random(7)
         for _ in range(200):
-            q = QN8(
+            q = qn8(
                 n=rng.randrange(1, 30),
                 tj10=rng.randrange(-6, 7),
                 tj02=rng.randrange(-6, 7),
@@ -234,7 +239,7 @@ class TestQN8:
             )
             counts = counts8_from_qn8(q)
             if counts is not None:
-                assert sum(counts) == q.n
+                assert sum(counts) == q[0]
 
     def test_round_trip_from_counts(self):
         rng = random.Random(3)
@@ -249,9 +254,9 @@ class TestQN8:
 
 
 class TestRecordTypes:
-    """QN4 and QN8 are validated named tuples, as pathcount.Priors is: they
-    equal the plain tuple of their fields, and every route to a new record
-    validates it."""
+    """QN4 is a validated named tuple, as pathcount.Priors is: it equals the
+    plain tuple of its fields, and every route to a new record validates
+    it."""
 
     def test_qn4(self):
         q = QN4(tj=3, tm=1, tg=3, tl=1)
@@ -269,25 +274,9 @@ class TestRecordTypes:
         with pytest.raises(InvalidQuantumNumberError):
             QN4._make((3, 1, 3, 2))
 
-    def test_qn8(self):
-        q = QN8(n=6, tj10=2, tj02=2, tm10=0, tm02=0, tj12=2, tl12=0, k=0)
-        assert repr(q) == "QN8(n=6, tj10=2, tj02=2, tm10=0, tm02=0, tj12=2, tl12=0, k=0)"
-        assert q == (6, 2, 2, 0, 0, 2, 0, 0)
-        assert hash(q) == hash((6, 2, 2, 0, 0, 2, 0, 0))
-        with pytest.raises(AttributeError):
-            q.k = 1
-        with pytest.raises(AttributeError):
-            q.extra = 1
-        assert q._replace(k=1) == QN8(6, 2, 2, 0, 0, 2, 0, 1)
-        assert QN8._make((6, 2, 2, 0, 0, 2, 0, 0)) == q
-        with pytest.raises(InvalidQuantumNumberError, match="n must be positive"):
-            q._replace(n=0)
-        with pytest.raises(InvalidQuantumNumberError, match="n must be positive"):
-            QN8._make((0, 2, 2, 0, 0, 2, 0, 0))
-
 
 class TestPairwiseAgreement:
-    """The QN8 of a triple agrees with the three pairwise QN4s."""
+    """The eight numbers of a triple agree with the three pairwise QN4s."""
 
     def test_random_triples(self):
         rng = random.Random(11)
@@ -297,18 +286,19 @@ class TestPairwiseAgreement:
                     BitSeq(tuple(rng.randrange(2) for _ in range(n)))
                     for _ in range(3)
                 )
-                q8 = qn8_from_counts(count_symbols(correlate([s1, s0, s2])))
+                n8, tj10, tj02, tm10, tm02, tj12, tl12, _ = qn8_from_counts(
+                    count_symbols(correlate([s1, s0, s2])))
                 q10 = qn4_of_corrseq(correlate([s1, s0]))
                 q02 = qn4_of_corrseq(correlate([s0, s2]))
                 q12 = qn4_of_corrseq(correlate([s1, s2]))
-                assert (q8.tj10, q8.tm10) == (q10.tj, q10.tm)
-                assert (q8.tj02, q8.tm02) == (q02.tj, q02.tm)
-                assert (q8.tj12, q8.tl12) == (q12.tj, q12.tl)
+                assert (tj10, tm10) == (q10.tj, q10.tm)
+                assert (tj02, tm02) == (q02.tj, q02.tm)
+                assert (tj12, tl12) == (q12.tj, q12.tl)
                 # the other pairwise numbers, by the relations the triple
                 # check tests: m12 = m10 + m02, l12 = l10 + m02, l12 = l02 - m10
-                assert q8.tm10 + q8.tm02 == q12.tm
-                assert (q8.n - q8.tj10, q8.tl12 - q8.tm02) == (q10.tg, q10.tl)
-                assert (q8.n - q8.tj02, q8.tl12 + q8.tm10) == (q02.tg, q02.tl)
+                assert tm10 + tm02 == q12.tm
+                assert (n8 - tj10, tl12 - tm02) == (q10.tg, q10.tl)
+                assert (n8 - tj02, tl12 + tm10) == (q02.tg, q02.tl)
 
     def test_pair_projection_matches_direct_correlation(self):
         rng = random.Random(5)
