@@ -75,7 +75,7 @@ def phi_by_enumeration(q: tuple[int, ...]) -> int:
 
 
 def _conserved(before: tuple, after: tuple) -> frozenset[str]:
-    """Which of j, m, g, l are equal in two QN4s, each the tuple (tj, tm, tg, tl)."""
+    """Which of j, m, g, l are equal in two four-number sets (tj, tm, tg, tl)."""
     return frozenset(compress("jmgl", map(eq, before, after)))
 
 

@@ -8,19 +8,20 @@ so a base-8 symbol reads (x1, x0, x2) and the (10), (02), (12) pairs are the
 first two, last two and outer two bits respectively.
 
 All quantum numbers are doubled integers (see halfint); k, being itself a
-count, is a plain integer.  QN4 and the eight-number set, a plain 8-tuple
-in the order above, hold those integers only: turning them into fractions
-or text is left to halfint and cli, at the edges.
+count, is a plain integer.  The four-number set is the plain 4-tuple
+(tj, tm, tg, tl) and the eight-number set a plain 8-tuple in the order
+above; both hold those integers only: turning them into fractions or text
+is left to halfint and cli, at the edges.  qn4_from_counts and
+counts4_from_qn4 check the projection rule on (j, m) and (g, l), which
+makes the four counts nonnegative integers.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
 from .errors import ConstraintError, InvalidQuantumNumberError
-from .records import Record
 from .selection import require_projection
 from .sequences import BitSeq, CorrSeq, alphabet, count_symbols
 
@@ -30,28 +31,7 @@ SYMBOLS8 = alphabet(3)
 PAIRS = {"10": (0, 1), "02": (1, 2), "12": (0, 2)}
 
 
-class QN4(Record, namedtuple("QN4", "tj tm tg tl")):
-    """Quantum numbers of one base-4 sequence, as doubled integers; (j, m)
-    and (g, l) pass check_projection, which makes j and g nonnegative and
-    the four counts nonnegative integers.
-
-    An immutable, validated named tuple, so it equals the plain tuple
-    (tj, tm, tg, tl).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, tj: int, tm: int, tg: int, tl: int):
-        require_projection(tj, tm)
-        require_projection(tg, tl, "l", "g")
-        return tuple.__new__(cls, (tj, tm, tg, tl))
-
-    @property
-    def n(self) -> int:
-        return self.tj + self.tg
-
-
-def qn4_from_counts(counts: tuple[int, ...]) -> QN4:
+def qn4_from_counts(counts: tuple[int, ...]) -> tuple[int, int, int, int]:
     """The quantum numbers j=(C+D)/2, m=(C-D)/2, g=(A+B)/2, l=(A-B)/2, in
     doubled form, of base-4 counts.
 
@@ -62,28 +42,30 @@ def qn4_from_counts(counts: tuple[int, ...]) -> QN4:
     ValueError.
     """
     a, d, c, b = counts
-    return QN4(c + d, c - d, a + b, a - b)
+    tj, tm, tg, tl = c + d, c - d, a + b, a - b
+    require_projection(tj, tm)
+    require_projection(tg, tl, "l", "g")
+    return tj, tm, tg, tl
 
 
-def counts4_from_qn4(q: QN4) -> tuple[int, int, int, int]:
+def counts4_from_qn4(q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """Invert the defining relations: A=g+l, D=j-m, C=j+m, B=g-l, in the
-    order qn4_from_counts reads."""
-    return (
-        (q.tg + q.tl) // 2,
-        (q.tj - q.tm) // 2,
-        (q.tj + q.tm) // 2,
-        (q.tg - q.tl) // 2,
-    )
+    order qn4_from_counts reads.  A set that breaks the projection rule
+    raises InvalidQuantumNumberError, as in qn4_from_counts."""
+    tj, tm, tg, tl = q
+    require_projection(tj, tm)
+    require_projection(tg, tl, "l", "g")
+    return (tg + tl) // 2, (tj - tm) // 2, (tj + tm) // 2, (tg - tl) // 2
 
 
-def qn4_of_corrseq(c: CorrSeq) -> QN4:
+def qn4_of_corrseq(c: CorrSeq) -> tuple[int, int, int, int]:
     """The quantum numbers of an order-2 sequence's counts."""
     if c.order != 2:
         raise ValueError("base-4 quantum numbers need an order-2 sequence")
     return qn4_from_counts(count_symbols(c))
 
 
-def qn4_of_packed(x: int, y: int, n: int) -> QN4:
+def qn4_of_packed(x: int, y: int, n: int) -> tuple[int, int, int, int]:
     """qn4_of_corrseq(correlate([s, t])) for n-bit s and t packed into
     nonnegative ints x and y: set bits mark the 1s, and bit i of s sits at
     the same position in x as bit i of t in y.  The callers read one byte
@@ -184,14 +166,17 @@ def pair_counts4(c8: tuple[int, ...], pair: str) -> tuple[int, int, int, int]:
     return tuple(out)
 
 
-def j12_bounds_constrained(q10: QN4, q02: QN4) -> tuple[int, int]:
+def j12_bounds_constrained(
+    q10: tuple[int, int, int, int], q02: tuple[int, int, int, int]
+) -> tuple[int, int]:
     """The least and greatest doubled j12 over the triples (s1, s0, s2) whose
     (10) and (02) relations are q10 and q02; every value between them in
     steps of 2 occurs too.
 
     The relations must share the reference s0, or ConstraintError is
     raised: equal n, and equal counts of its zeros, A10 + C10 = A02 + D02
-    (with equal n, tm10 + tm02 = tl02 - tl10).
+    (with equal n, tm10 + tm02 = tl02 - tl10).  A relation that breaks the
+    projection rule raises as counts4_from_qn4 does.
 
     Proof.  A base-8 symbol (x1, x0, x2) projects onto the (10) symbol
     (x1, x0) and the (02) symbol (x0, x2).  So for each reference bit x0 the
@@ -224,15 +209,17 @@ def j12_bounds_constrained(q10: QN4, q02: QN4) -> tuple[int, int]:
     and q02 and realizes tj12 = tj10 + tj02 - 2(u + v).  witness_triple is
     this layout in code.
     """
-    if q10.n != q02.n:
-        raise ConstraintError(f"relations disagree on n: {q10.n}, {q02.n}")
+    tj10, _, tg10, _ = q10
+    tj02, _, tg02, _ = q02
+    if tj10 + tg10 != tj02 + tg02:
+        raise ConstraintError(f"relations disagree on n: {tj10 + tg10}, {tj02 + tg02}")
     a10, d10, c10, b10 = counts4_from_qn4(q10)
     a02, d02, c02, b02 = counts4_from_qn4(q02)
     if a10 + c10 != a02 + d02:
         raise ConstraintError(
             f"relations disagree on the reference's zeros: {a10 + c10}, {a02 + d02}"
         )
-    tj_sum = q10.tj + q02.tj
+    tj_sum = tj10 + tj02
     tj_min = tj_sum - 2 * min(c10, d02) - 2 * min(d10, c02)
     tj_max = tj_sum - 2 * max(0, c10 - a02) - 2 * max(0, d10 - b02)
     return tj_min, tj_max
@@ -242,7 +229,9 @@ def j12_bounds_constrained(q10: QN4, q02: QN4) -> tuple[int, int]:
 _BLOCKS = sorted(SYMBOLS8, key=lambda sym: sym[1])
 
 
-def witness_triple(q10: QN4, q02: QN4, tj12: int) -> tuple[BitSeq, BitSeq, BitSeq] | None:
+def witness_triple(
+    q10: tuple[int, int, int, int], q02: tuple[int, int, int, int], tj12: int
+) -> tuple[BitSeq, BitSeq, BitSeq] | None:
     """The triple (s1, s0, s2) of the j12_bounds_constrained proof with
     relations q10, q02 and a (12) one of doubled j12 tj12, or None if no
     triple has them.  Its free cells sum to w = (tj10 + tj02 - tj12)/2, and
@@ -253,7 +242,7 @@ def witness_triple(q10: QN4, q02: QN4, tj12: int) -> tuple[BitSeq, BitSeq, BitSe
         return None
     a10, d10, c10, b10 = counts4_from_qn4(q10)
     a02, d02, c02, _ = counts4_from_qn4(q02)
-    w = (q10.tj + q02.tj - tj12) // 2
+    w = (q10[0] + q02[0] - tj12) // 2
     u = max(0, c10 - a02, w - min(d10, c02))
     v = w - u
     # t000, t001, t100, t101, then t010, t011, t110, t111, as in the proof

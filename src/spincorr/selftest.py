@@ -57,9 +57,11 @@ _TRIPLE_RELATIONS = (
 def check_random_triples(n_values: list[int], trials: int, rng: random.Random) -> list[str]:
     """Relations between the three pairwise measurements of random triples,
     taken on packed bits and, in the first trial of each n, by correlate as
-    well.  A packed measurement has tj + tg = n by construction, so the
-    "n identity" tests only that correlate route.  Raises ValueError for
-    n < 1, before any draw."""
+    well.  The relations read the packed measurements only, where tj + tg = n
+    holds by construction, so the "n identity" guards qn4_of_packed and
+    qn4_from_counts against a regression; the correlate route meets it
+    because it equals the packed one.  Raises ValueError for n < 1, before
+    any draw."""
     if min(n_values, default=1) < 1:
         raise ValueError(f"sequence length n must be >= 1, got {min(n_values)}")
     problems = []
@@ -74,8 +76,7 @@ def check_random_triples(n_values: list[int], trials: int, rng: random.Random) -
             q10 = qn4_of_packed(x1, x0, n)
             q02 = qn4_of_packed(x0, x2, n)
             q12 = qn4_of_packed(x1, x2, n)
-            # unpacked once: QN4.n is a property, and each field is read
-            # more than once below
+            # unpacked once: each field is read more than once below
             tj10, tm10, tg10, tl10 = q10
             tj02, tm02, tg02, tl02 = q02
             tj12, tm12, tg12, tl12 = q12

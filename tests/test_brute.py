@@ -238,6 +238,18 @@ class TestMapConservation:
         assert list(report["conserved_tally"]) == list(tally)
         assert made[0].getrandbits(64) == next_bits
 
+    @pytest.mark.parametrize("seed, lines", [(2024, 1), (3, 0)])
+    def test_all_conserving_map_must_permute(self, monkeypatch, seed, lines):
+        """A map that conserves all of j, m, g, l is checked to rearrange the
+        symbols.  With apply_map giving the all-A sequence instead, the one
+        all-conserving map of seed 2024's pinned tally is reported; seed 3
+        draws none, so nothing is."""
+        apply = brute.apply_map
+        monkeypatch.setattr(brute, "apply_map", lambda initial, mapping: apply(mapping, mapping))
+        report = map_conservation_report(32, 200, seed)
+        assert sum(line.startswith("all-conserving map is not a permutation: ")
+                   for line in report["mismatches"]) == lines
+
     def test_first_trials_compare_the_correlate_route(self, monkeypatch):
         """The first trial of each direction is measured through
         conserved_quantum_numbers too; with the mapped sequence's l read two

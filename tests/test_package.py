@@ -23,7 +23,7 @@ EXPORTS = {
 }
 # the oracles, imported from their own modules only
 ORACLES = {
-    "quantum_numbers": ["QN4", "counts4_from_qn4", "counts8_from_qn8", "f_factor",
+    "quantum_numbers": ["counts4_from_qn4", "counts8_from_qn8", "f_factor",
                         "j12_bounds_constrained", "pair_counts4", "phi", "qn4_from_counts",
                         "qn4_of_corrseq", "qn4_of_packed", "qn8_from_counts", "witness_triple"],
     "sequences": ["BitSeq", "CorrSeq", "alphabet", "apply_map", "correlate", "count_symbols",
@@ -40,7 +40,7 @@ IMPORT_MAP = {
     "errors": set(),
     "halfint": {"errors"},
     "pathcount": {"errors", "halfint", "records", "selection"},
-    "quantum_numbers": {"errors", "records", "selection", "sequences"},
+    "quantum_numbers": {"errors", "selection", "sequences"},
     "records": set(),
     "selection": {"errors"},
     "selftest": {"brute", "pathcount", "quantum_numbers", "selection", "sequences"},
@@ -112,7 +112,7 @@ def test_projection_rule_is_raised_in_selection_only():
 
 
 def test_record_construction_is_defined_in_records_only():
-    # records.Record is the one home of _make; the four records inherit it
+    # records.Record is the one home of _make; the three records inherit it
     # instead of restating it
     sources = sorted((ROOT / "src" / "spincorr").glob("*.py"))
     assert [p.name for p in sources if "def _make" in p.read_text()] == ["records.py"]
@@ -171,7 +171,7 @@ def test_sequences_is_a_leaf():
 
 
 def test_quantum_numbers_keeps_doubled_integers():
-    # QN4 and the eight-number set hold doubled integers only; halfint and cli
+    # the four- and eight-number sets hold doubled integers only; halfint and cli
     # turn them into fractions or text at the edges, so the quantum numbers
     # never reach halfint
     assert reached_from("quantum_numbers") == {"errors", "records", "selection", "sequences"}

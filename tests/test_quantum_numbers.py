@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from spincorr.brute import base8_count_layers
 from spincorr.errors import InvalidQuantumNumberError
 from spincorr.quantum_numbers import (
-    QN4,
     SYMBOLS8,
     counts4_from_qn4,
     counts8_from_qn8,
@@ -28,6 +27,11 @@ A, B, C, D = (0, 0), (1, 1), (1, 0), (0, 1)
 def counts4(a, b, c, d):
     """The counts of A, B, C and D, in the alphabet(2) order qn4_from_counts reads."""
     return (a, d, c, b)
+
+
+def qn4(tj, tm, tg, tl):
+    """The four-number set, a plain tuple, named field by field."""
+    return (tj, tm, tg, tl)
 
 
 def qn8(n, tj10, tj02, tm10, tm02, tj12, tl12, k):
@@ -69,39 +73,45 @@ class TestCountLength:
 
 
 class TestQN4:
+    """The four-number set (tj, tm, tg, tl) of base-4 counts, a plain
+    4-tuple; both conversions check the projection rule."""
+
     def test_figure_example(self):
-        q = qn4_from_counts(counts4(2, 1, 2, 1))
-        assert (q.tj, q.tm, q.tg, q.tl) == (3, 1, 3, 1)
+        assert qn4_from_counts(counts4(2, 1, 2, 1)) == qn4(tj=3, tm=1, tg=3, tl=1)
 
     def test_identical_sequences(self):
-        q = qn4_from_counts(counts4(7, 0, 0, 0))
-        assert (q.tj, q.tm) == (0, 0)
-        assert q.tg == q.tl == 7
+        assert qn4_from_counts(counts4(7, 0, 0, 0)) == qn4(tj=0, tm=0, tg=7, tl=7)
 
     def test_fully_anti_aligned(self):
-        q = qn4_from_counts(counts4(0, 0, 4, 0))
-        assert (q.tj, q.tm, q.tg, q.tl) == (4, 4, 0, 0)
+        assert qn4_from_counts(counts4(0, 0, 4, 0)) == qn4(tj=4, tm=4, tg=0, tl=0)
+
+    def test_is_a_plain_tuple(self):
+        assert type(qn4_from_counts((1, 2, 3, 4))) is tuple
 
     def test_inverse(self):
-        assert counts4_from_qn4(QN4(tj=3, tm=1, tg=3, tl=1)) == counts4(2, 1, 2, 1)
-        assert counts4_from_qn4(QN4(tj=0, tm=0, tg=2, tl=-2)) == counts4(0, 2, 0, 0)
+        assert counts4_from_qn4(qn4(tj=3, tm=1, tg=3, tl=1)) == counts4(2, 1, 2, 1)
+        assert counts4_from_qn4(qn4(tj=0, tm=0, tg=2, tl=-2)) == counts4(0, 2, 0, 0)
 
     def test_m_beyond_j_rejected(self):
-        with pytest.raises(InvalidQuantumNumberError):
-            QN4(tj=1, tm=2, tg=1, tl=1)
+        with pytest.raises(InvalidQuantumNumberError, match="^m must satisfy -j <= m <= j"):
+            counts4_from_qn4((1, 2, 1, 1))
+
+    def test_l_beyond_g_rejected(self):
+        with pytest.raises(InvalidQuantumNumberError, match="^l must satisfy -g <= l <= g"):
+            counts4_from_qn4((0, 0, 2, 3))
 
     def test_parity_mismatch_rejected(self):
         with pytest.raises(InvalidQuantumNumberError):
-            QN4(tj=2, tm=1, tg=2, tl=0)
+            counts4_from_qn4(qn4(tj=2, tm=1, tg=2, tl=0))
 
     def test_accepts_exactly_the_projection_rule(self):
-        for tj, tm, tg, tl in itertools.product(range(-3, 4), repeat=4):
+        for q in itertools.product(range(-3, 4), repeat=4):
+            tj, tm, tg, tl = q
             if check_projection(tj, tm) and check_projection(tg, tl):
-                q = QN4(tj, tm, tg, tl)
-                assert (q.tj, q.tm, q.tg, q.tl) == (tj, tm, tg, tl)
+                assert qn4_from_counts(counts4_from_qn4(q)) == q
             else:
                 with pytest.raises(InvalidQuantumNumberError):
-                    QN4(tj, tm, tg, tl)
+                    counts4_from_qn4(q)
 
     @given(
         parts=st.tuples(*(st.integers(min_value=0, max_value=20),) * 4)
@@ -112,7 +122,7 @@ class TestQN4:
 
     @pytest.mark.parametrize("negative", "ABCD")
     def test_negative_count_rejected(self, negative):
-        # QN4 validates every record, so a negative count raises
+        # qn4_from_counts checks the projection rule, so a negative count raises
         c = counts4(*(-1 if alias == negative else 3 for alias in "ABCD"))
         with pytest.raises(InvalidQuantumNumberError):
             qn4_from_counts(c)
@@ -124,8 +134,7 @@ class TestQN4:
                 c = CorrSeq(2, symbols)
                 q = qn4_of_corrseq(c)
                 assert q == qn4_from_counts(counter_counts(c)), symbols
-                assert type(q) is QN4
-                assert q == QN4(*q) and hash(q) == hash(QN4(*q))
+                assert type(q) is tuple
 
     def test_of_packed_matches_correlate(self):
         """Every pair of bit tuples with n <= 6 (5,460 pairs), packed one
@@ -136,7 +145,7 @@ class TestQN4:
                 q = qn4_of_packed(int.from_bytes(bytes(a), "big"),
                                   int.from_bytes(bytes(b), "big"), n)
                 assert q == qn4_of_corrseq(correlate([BitSeq(a), BitSeq(b)])), (a, b)
-                assert type(q) is QN4
+                assert type(q) is tuple
 
     def test_of_packed_more_ones_than_bits_rejected(self):
         # three 1s in two bits leave A = -1: not a record of any pair
@@ -253,30 +262,9 @@ class TestQN8:
             assert counts8_from_qn8(qn8_from_counts(counts)) == counts
 
 
-class TestRecordTypes:
-    """QN4 is a validated named tuple, as pathcount.Priors is: it equals the
-    plain tuple of its fields, and every route to a new record validates
-    it."""
-
-    def test_qn4(self):
-        q = QN4(tj=3, tm=1, tg=3, tl=1)
-        assert repr(q) == "QN4(tj=3, tm=1, tg=3, tl=1)"
-        assert q == QN4(3, 1, 3, 1) == (3, 1, 3, 1)
-        assert hash(q) == hash((3, 1, 3, 1))
-        with pytest.raises(AttributeError):
-            q.tj = 1
-        with pytest.raises(AttributeError):
-            q.extra = 1
-        assert q._replace(tm=-1) == QN4(3, -1, 3, 1)
-        assert QN4._make((3, 1, 3, 1)) == q
-        with pytest.raises(InvalidQuantumNumberError):
-            q._replace(tm=5)
-        with pytest.raises(InvalidQuantumNumberError):
-            QN4._make((3, 1, 3, 2))
-
-
 class TestPairwiseAgreement:
-    """The eight numbers of a triple agree with the three pairwise QN4s."""
+    """The eight numbers of a triple agree with its three pairwise
+    four-number sets."""
 
     def test_random_triples(self):
         rng = random.Random(11)
@@ -290,15 +278,13 @@ class TestPairwiseAgreement:
                     count_symbols(correlate([s1, s0, s2])))
                 q10 = qn4_of_corrseq(correlate([s1, s0]))
                 q02 = qn4_of_corrseq(correlate([s0, s2]))
-                q12 = qn4_of_corrseq(correlate([s1, s2]))
-                assert (tj10, tm10) == (q10.tj, q10.tm)
-                assert (tj02, tm02) == (q02.tj, q02.tm)
-                assert (tj12, tl12) == (q12.tj, q12.tl)
+                tj, tm, _, tl = qn4_of_corrseq(correlate([s1, s2]))
+                assert (tj12, tl12) == (tj, tl)
                 # the other pairwise numbers, by the relations the triple
                 # check tests: m12 = m10 + m02, l12 = l10 + m02, l12 = l02 - m10
-                assert tm10 + tm02 == q12.tm
-                assert (n8 - tj10, tl12 - tm02) == (q10.tg, q10.tl)
-                assert (n8 - tj02, tl12 + tm10) == (q02.tg, q02.tl)
+                assert tm10 + tm02 == tm
+                assert q10 == (tj10, tm10, n8 - tj10, tl12 - tm02)
+                assert q02 == (tj02, tm02, n8 - tj02, tl12 + tm10)
 
     def test_pair_projection_matches_direct_correlation(self):
         rng = random.Random(5)
@@ -325,7 +311,7 @@ class TestJMetric:
             )
 
             def tj(x, y):
-                return qn4_of_corrseq(correlate([x, y])).tj
+                return qn4_of_corrseq(correlate([x, y]))[0]
 
             assert tj(a, a) == 0
             assert tj(a, b) == tj(b, a)
@@ -335,4 +321,4 @@ class TestJMetric:
         a = BitSeq((1, 1, 0, 0, 1, 0))
         b = BitSeq((0, 1, 1, 0, 1, 1))
         hamming = sum(x != y for x, y in zip(a.bits, b.bits))
-        assert qn4_of_corrseq(correlate([a, b])).tj == hamming
+        assert qn4_of_corrseq(correlate([a, b]))[0] == hamming

@@ -11,8 +11,8 @@ from spincorr.cli import _spins
 from spincorr.errors import ConstraintError, InvalidQuantumNumberError
 from spincorr.pathcount import Priors
 from spincorr.quantum_numbers import (
-    QN4, f_factor, j12_bounds_constrained, pair_counts4, qn4_from_counts, qn4_of_corrseq,
-    witness_triple,
+    counts4_from_qn4, f_factor, j12_bounds_constrained, pair_counts4, qn4_from_counts,
+    qn4_of_corrseq, witness_triple,
 )
 from spincorr.selection import (
     allowed_m_pairs,
@@ -24,16 +24,36 @@ from spincorr.selection import (
 from spincorr.sequences import BitSeq, correlate
 
 
+def qn4(tj, tm, tg, tl):
+    """The four-number set, a plain tuple, named field by field."""
+    return (tj, tm, tg, tl)
+
+
 @pytest.mark.parametrize(
     "raise_it, m, j",
     [
         pytest.param(lambda: _spins(argparse.Namespace(j1="1", j2="1", J="1", M="2")),
                      "M", "J", id="cli-M"),
         pytest.param(lambda: Priors(6, 2, 2, 2, 4), "m12", "j12", id="Priors-m12"),
-        pytest.param(lambda: QN4(tj=2, tm=4, tg=0, tl=0), "m", "j", id="QN4-m"),
-        pytest.param(lambda: QN4(tj=0, tm=0, tg=2, tl=3), "l", "g", id="QN4-l"),
-        pytest.param(lambda: QN4(tj=-2, tm=0, tg=4, tl=0), "m", "j", id="QN4-negative-j"),
-        pytest.param(lambda: QN4(tj=2, tm=0, tg=-2, tl=0), "l", "g", id="QN4-negative-g"),
+        pytest.param(lambda: counts4_from_qn4(qn4(tj=2, tm=4, tg=0, tl=0)), "m", "j",
+                     id="counts4_from_qn4-m"),
+        pytest.param(lambda: counts4_from_qn4(qn4(tj=0, tm=0, tg=2, tl=3)), "l", "g",
+                     id="counts4_from_qn4-l"),
+        pytest.param(lambda: counts4_from_qn4(qn4(tj=-2, tm=0, tg=4, tl=0)), "m", "j",
+                     id="counts4_from_qn4-negative-j"),
+        pytest.param(lambda: counts4_from_qn4(qn4(tj=2, tm=0, tg=-2, tl=0)), "l", "g",
+                     id="counts4_from_qn4-negative-g"),
+        pytest.param(lambda: qn4_from_counts((3, 3, -1, 3)), "m", "j",
+                     id="qn4_from_counts-negative-C"),
+        pytest.param(lambda: qn4_from_counts((-1, 3, 3, 3)), "l", "g",
+                     id="qn4_from_counts-negative-A"),
+        # a bad relation beside a valid one of the same n, either way round
+        pytest.param(lambda: j12_bounds_constrained(qn4(tj=1, tm=2, tg=1, tl=1),
+                                                    qn4(tj=2, tm=0, tg=0, tl=0)),
+                     "m", "j", id="j12_bounds_constrained-m"),
+        pytest.param(lambda: witness_triple(qn4(tj=2, tm=0, tg=0, tl=0),
+                                            qn4(tj=0, tm=0, tg=2, tl=3), 2),
+                     "l", "g", id="witness_triple-l"),
         pytest.param(lambda: cg_squared(2, 2, 4, 0, 2, 4), "m1", "j1", id="cg-m1"),
         pytest.param(lambda: cg_squared(2, 2, 0, 1, 2, 1), "m2", "j2", id="cg-m2"),
         pytest.param(lambda: cg_squared(2, 2, 2, 2, 2, 4), "M", "J", id="cg-M"),
@@ -109,49 +129,50 @@ class TestG12Range:
         # random triples sit below the n floor of the closed form all the time
         n = len(bits) // 3
         s1, s0, s2 = (BitSeq(tuple(bits[i : i + n])) for i in (0, n, 2 * n))
-        q10 = qn4_of_corrseq(correlate([s1, s0]))
-        q02 = qn4_of_corrseq(correlate([s0, s2]))
-        lo, hi = g12_range(n, q10.tj, q02.tj)
-        assert lo <= qn4_of_corrseq(correlate([s1, s2])).tg <= hi
+        tj10, _, _, _ = qn4_of_corrseq(correlate([s1, s0]))
+        tj02, _, _, _ = qn4_of_corrseq(correlate([s0, s2]))
+        _, _, tg12, _ = qn4_of_corrseq(correlate([s1, s2]))
+        lo, hi = g12_range(n, tj10, tj02)
+        assert lo <= tg12 <= hi
 
 
 class TestConstrainedBounds:
     def test_saturated_opposite_m(self):
         # g and l maximal on both relations at n=6
-        q10 = QN4(tj=2, tm=2, tg=4, tl=4)
-        q02 = QN4(tj=2, tm=-2, tg=4, tl=4)
-        lo, hi = j12_bounds_constrained(q10, q02)
-        assert lo <= 2 <= hi
+        q10 = qn4(tj=2, tm=2, tg=4, tl=4)
+        q02 = qn4(tj=2, tm=-2, tg=4, tl=4)
+        assert j12_bounds_constrained(q10, q02) == (0, 4)
 
     def test_reference_relation_collapses(self):
-        q10 = QN4(tj=3, tm=1, tg=5, tl=3)
-        q02 = QN4(tj=0, tm=0, tg=8, tl=4)
+        q10 = qn4(tj=3, tm=1, tg=5, tl=3)
+        q02 = qn4(tj=0, tm=0, tg=8, tl=4)
         assert j12_bounds_constrained(q10, q02) == (3, 3)
 
     def test_mismatched_n(self):
-        q10 = QN4(tj=2, tm=0, tg=4, tl=0)
-        q02 = QN4(tj=2, tm=0, tg=2, tl=0)
+        q10 = qn4(tj=2, tm=0, tg=4, tl=0)
+        q02 = qn4(tj=2, tm=0, tg=2, tl=0)
         with pytest.raises(ConstraintError):
             j12_bounds_constrained(q10, q02)
 
     def test_relations_must_share_the_reference(self):
         # equal n, but q10 gives the reference 4 zeros (A10 + C10) and q02
         # gives it 2 (A02 + D02): no triple carries both
-        q = QN4(tj=2, tm=2, tg=2, tl=2)
+        q = qn4(tj=2, tm=2, tg=2, tl=2)
         with pytest.raises(ConstraintError, match="zeros: 4, 2"):
             j12_bounds_constrained(q, q)
 
     def test_unconstrained_reduces_to_triangle(self):
         # capacities non-binding: plenty of A/B room on both sides
-        q10 = QN4(tj=2, tm=0, tg=10, tl=0)
-        q02 = QN4(tj=2, tm=0, tg=10, tl=0)
+        q10 = qn4(tj=2, tm=0, tg=10, tl=0)
+        q02 = qn4(tj=2, tm=0, tg=10, tl=0)
         assert j12_bounds_constrained(q10, q02) == (0, 4)
 
     def _observed_j12(self, q10, q02):
         # the measured j12 of the witness of every tj12 a length-n triple
         # could have, each witness checked to carry q10 and q02
+        tj10, _, tg10, _ = q10
         observed = set()
-        for tj12 in range(q10.n + 1):
+        for tj12 in range(tj10 + tg10 + 1):
             triple = witness_triple(q10, q02, tj12)
             if triple is not None:
                 assert measure(triple) == (q10, q02, tj12)
@@ -160,16 +181,16 @@ class TestConstrainedBounds:
 
     def test_bounds_bracket_enumeration_n4(self):
         # overcapacity case from forcing C-counts beyond the A/B room
-        q10 = QN4(tj=2, tm=2, tg=2, tl=2)
-        q02 = QN4(tj=1, tm=-1, tg=3, tl=3)
+        q10 = qn4(tj=2, tm=2, tg=2, tl=2)
+        q02 = qn4(tj=1, tm=-1, tg=3, tl=3)
         lo, hi = j12_bounds_constrained(q10, q02)
         observed = self._observed_j12(q10, q02)
         assert observed
         assert min(observed) >= lo and max(observed) <= hi
 
     def test_bounds_bracket_enumeration_saturated(self):
-        q10 = QN4(tj=2, tm=2, tg=2, tl=2)
-        q02 = QN4(tj=2, tm=-2, tg=2, tl=2)
+        q10 = qn4(tj=2, tm=2, tg=2, tl=2)
+        q02 = qn4(tj=2, tm=-2, tg=2, tl=2)
         lo, hi = j12_bounds_constrained(q10, q02)
         observed = self._observed_j12(q10, q02)
         assert observed
@@ -184,19 +205,20 @@ class TestConstrainedBounds:
                 q10, q02, q12 = (
                     qn4_from_counts(pair_counts4(key, pair)) for pair in ("10", "02", "12")
                 )
-                realized.setdefault((q10, q02), set()).add(q12.tj)
+                realized.setdefault((q10, q02), set()).add(q12[0])
         for (q10, q02), observed in realized.items():
             lo, hi = j12_bounds_constrained(q10, q02)
             assert observed == set(range(lo, hi + 1, 2)), (q10, q02)
         # as many pairs up to n = 6 as all 8^n bit triples give
-        assert sum(q10.n <= 6 for q10, _ in realized) == 2057
-        assert sum(q10.n == 8 for q10, _ in realized) == 3333
+        n_of = [tj10 + tg10 for (tj10, _, tg10, _), _ in realized]
+        assert sum(n <= 6 for n in n_of) == 2057
+        assert sum(n == 8 for n in n_of) == 3333
 
     def test_every_triangle_value_realizable_at_tight_n(self):
         # n = 2(j10 + j02): every j12 admitted by the triangle rule occurs,
         # here between two relations with m = l = 0
-        q = QN4(tj=2, tm=0, tg=2, tl=0)
-        for tj12 in j12_range(q.tj, q.tj):
+        q = qn4(tj=2, tm=0, tg=2, tl=0)
+        for tj12 in j12_range(2, 2):
             triple = witness_triple(q, q, tj12)
             assert triple is not None, tj12
             assert measure(triple) == (q, q, tj12)
@@ -206,7 +228,7 @@ def measure(triple):
     """(q10, q02, tj12) of a triple (s1, s0, s2), as qn4_of_corrseq measures it."""
     s1, s0, s2 = triple
     return (qn4_of_corrseq(correlate([s1, s0])), qn4_of_corrseq(correlate([s0, s2])),
-            qn4_of_corrseq(correlate([s1, s2])).tj)
+            qn4_of_corrseq(correlate([s1, s2]))[0])
 
 
 @functools.cache
@@ -244,26 +266,32 @@ class TestWitnessTriple:
         assert witnesses == 2957
 
     def test_zero_j02_forces_identical_sequences(self):
-        zero_j02 = [(q10, q02) for q10, q02 in realized_pairs(6) if q02.tj == 0]
+        zero_j02 = [(q10, q02) for q10, q02 in realized_pairs(6) if q02[0] == 0]
         assert zero_j02
         for q10, q02 in zero_j02:
-            _, s0, s2 = witness_triple(q10, q02, q10.tj)
+            _, s0, s2 = witness_triple(q10, q02, q10[0])
             assert s0 == s2
 
     def test_triangle_violating_j12_has_none(self):
         # n = 3 relations that share the reference, j12 = 3 > j10 + j02 = 1
-        q10 = QN4(tj=1, tm=1, tg=2, tl=0)
-        q02 = QN4(tj=1, tm=-1, tg=2, tl=0)
+        q10 = qn4(tj=1, tm=1, tg=2, tl=0)
+        q02 = qn4(tj=1, tm=-1, tg=2, tl=0)
         assert j12_bounds_constrained(q10, q02) == (0, 2)
         assert witness_triple(q10, q02, 6) is None
 
+    def test_saturated_opposite_m(self):
+        # the plain tuples of TestConstrainedBounds.test_saturated_opposite_m
+        assert witness_triple((2, 2, 4, 4), (2, -2, 4, 4), 2) == (
+            BitSeq((0, 0, 0, 0, 1, 1)), BitSeq((0, 0, 0, 0, 0, 0)), BitSeq((0, 0, 0, 1, 0, 1)))
+        assert witness_triple((2, 2, 4, 4), (2, -2, 4, 4), 3) is None
+
     def test_mismatched_reference_raises(self):
-        q = QN4(tj=2, tm=2, tg=2, tl=2)
+        q = qn4(tj=2, tm=2, tg=2, tl=2)
         with pytest.raises(ConstraintError, match="zeros: 4, 2"):
             witness_triple(q, q, 0)
 
     def test_empty_sequences_rejected(self):
-        q = QN4(tj=0, tm=0, tg=0, tl=0)
+        q = qn4(tj=0, tm=0, tg=0, tl=0)
         with pytest.raises(ValueError, match="length n >= 1"):
             witness_triple(q, q, 0)
 
@@ -306,12 +334,12 @@ class TestRandomTripleLaw:
                     BitSeq(tuple(rng.randrange(2) for _ in range(n)))
                     for _ in range(3)
                 )
-                q10 = qn4_of_corrseq(correlate([s1, s0]))
-                q02 = qn4_of_corrseq(correlate([s0, s2]))
-                q12 = qn4_of_corrseq(correlate([s1, s2]))
-                assert q10.n == q02.n == q12.n == n
-                assert q12.tm == q10.tm + q02.tm == q02.tl - q10.tl
-                assert q12.tl == q10.tl + q02.tm == q02.tl - q10.tm
-                assert check_triangle(q10.tj, q02.tj, q12.tj)
-                lo, hi = n - q10.tj - q02.tj, n - abs(q10.tj - q02.tj)
-                assert lo <= q12.tg <= hi
+                tj10, tm10, tg10, tl10 = qn4_of_corrseq(correlate([s1, s0]))
+                tj02, tm02, tg02, tl02 = qn4_of_corrseq(correlate([s0, s2]))
+                tj12, tm12, tg12, tl12 = qn4_of_corrseq(correlate([s1, s2]))
+                assert tj10 + tg10 == tj02 + tg02 == tj12 + tg12 == n
+                assert tm12 == tm10 + tm02 == tl02 - tl10
+                assert tl12 == tl10 + tm02 == tl02 - tm10
+                assert check_triangle(tj10, tj02, tj12)
+                lo, hi = n - tj10 - tj02, n - abs(tj10 - tj02)
+                assert lo <= tg12 <= hi
